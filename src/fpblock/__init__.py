@@ -23,8 +23,6 @@ from .blocks import (
     collage,
     restrict,
     solve_blocks,
-    timed_solve_blocks,
-    total_wall_time,
     worst_residual,
 )
 from .config import RunConfig, apply_overrides, parse_config, serialize_config
@@ -45,7 +43,6 @@ from .fileio import (
     read_field,
     read_histogram,
     write_field,
-    write_field_csv,
     write_histogram,
     write_rows_csv,
     write_sidecar,
@@ -76,7 +73,6 @@ from .models import (
 from .operator import (
     InteriorOperator,
     assemble,
-    export_matrix_market,
     kernel_dimension,
 )
 from .repair import (
@@ -89,7 +85,6 @@ from .sampler import (
     Histogram,
     SamplerConfig,
     accumulate_histogram,
-    euler_maruyama_step,
     histogram_to_density,
     synthetic_reference,
 )

@@ -9,14 +9,12 @@ output to mistake for a converged field.
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CollageError, DimensionError
-from .grids import Block, BlockPartition, DensityField, Grid, enumerate_blocks
+from .grids import BlockPartition, DensityField, Grid, enumerate_blocks
 from .leastnorm import SolveOptions, SolveReport, solve_least_norm
 from .models import ModelSpec
 from .operator import assemble
@@ -28,7 +26,6 @@ Ranges = tuple[tuple[int, int], ...]
 class BlockSolveConfig:
     partition: BlockPartition
     solve: SolveOptions = field(default_factory=SolveOptions)
-    parallel: bool = False
 
 
 @dataclass(frozen=True)
@@ -69,50 +66,25 @@ def collage(grid: Grid, pieces) -> DensityField:
     return DensityField(grid, out.ravel())
 
 
-def _solve_one(model: ModelSpec, v: DensityField, block: Block, opts: SolveOptions):
-    local = restrict(v, block.core)
-    op = assemble(model, local.grid)
-    u_loc, rep = solve_least_norm(op, local, opts)
-    return block, u_loc, rep
-
-
 def solve_blocks(
     model: ModelSpec, v: DensityField, cfg: BlockSolveConfig
 ) -> tuple[DensityField, list[BlockReport]]:
     """Independent least-norm solves on every core block, then collage.
 
-    Blocks are processed in enumeration order (or on a thread pool when
-    cfg.parallel is set; each block is deterministic on its own, so the
-    collaged result is identical either way).
+    Blocks are processed in enumeration order.
     """
     if v.grid != cfg.partition.grid:
         raise DimensionError("reference field does not live on the partitioned grid")
-    blocks = enumerate_blocks(cfg.partition)
-    if cfg.parallel and len(blocks) > 1:
-        with ThreadPoolExecutor() as pool:
-            results = list(
-                pool.map(lambda blk: _solve_one(model, v, blk, cfg.solve), blocks)
-            )
-    else:
-        results = [_solve_one(model, v, blk, cfg.solve) for blk in blocks]
-    fld = collage(v.grid, ((blk.core, u.values) for blk, u, _ in results))
-    reports = [
-        BlockReport(index=blk.index, cells=blk.core, solve=rep)
-        for blk, _, rep in results
-    ]
-    return fld, reports
-
-
-def total_wall_time(reports: list[BlockReport]) -> float:
-    return float(sum(r.solve.wall_time for r in reports))
+    pieces = []
+    reports = []
+    for block in enumerate_blocks(cfg.partition):
+        local = restrict(v, block.core)
+        op = assemble(model, local.grid)
+        u_loc, rep = solve_least_norm(op, local, cfg.solve)
+        pieces.append((block.core, u_loc.values))
+        reports.append(BlockReport(index=block.index, cells=block.core, solve=rep))
+    return collage(v.grid, pieces), reports
 
 
 def worst_residual(reports: list[BlockReport]) -> float:
     return float(max(r.solve.residual_constraint for r in reports))
-
-
-def timed_solve_blocks(model, v, cfg):
-    """solve_blocks plus the end-to-end wall time including assembly."""
-    t0 = time.perf_counter()
-    fld, reports = solve_blocks(model, v, cfg)
-    return fld, reports, time.perf_counter() - t0

@@ -26,8 +26,6 @@ from .errors import FormatError
 from .grids import DensityField, Grid
 from .sampler import Histogram
 
-_AXIS_NAMES = ("x", "y", "z")
-
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
@@ -125,25 +123,6 @@ def read_histogram(path) -> Histogram:
         )
     counts = np.frombuffer(body, dtype="<u8").astype(np.uint64)
     return Histogram(grid=grid, counts=counts, total_retained=total)
-
-
-def write_field_csv(fld: DensityField, path) -> None:
-    """Cell centers and values, one row per cell, for plotting."""
-    grid = fld.grid
-    names = (
-        list(_AXIS_NAMES[: grid.dim])
-        if grid.dim <= len(_AXIS_NAMES)
-        else [f"x{k + 1}" for k in range(grid.dim)]
-    )
-    centers = grid.centers()
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names + ["value"])
-        for point, value in zip(centers, fld.values):
-            writer.writerow([repr(float(c)) for c in point] + [repr(float(value))])
-    os.replace(tmp, path)
 
 
 def write_rows_csv(rows: list[dict], fieldnames: list[str], path) -> None:

@@ -240,35 +240,21 @@ class Block:
 
     index: tuple[int, ...]
     core: tuple[tuple[int, int], ...]
-    halo: tuple[tuple[int, int], ...]
-
-    def core_slices(self) -> tuple[slice, ...]:
-        return tuple(slice(a, b) for a, b in self.core)
-
-    def halo_slices(self) -> tuple[slice, ...]:
-        return tuple(slice(a, b) for a, b in self.halo)
-
-    @property
-    def core_shape(self) -> tuple[int, ...]:
-        return tuple(b - a for a, b in self.core)
 
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Division of a grid into equal blocks, optionally overlapped or shifted.
+    """Division of a grid into equal blocks, optionally shifted.
 
     Args:
         grid: the partitioned grid.
         blocks: number of blocks per dimension; must divide the cell counts.
-        overlap: halo width in cells added on every side of a block's core
-            range (clamped at the domain boundary) when enumerating.
         shift: per-dimension fractions of the block size by which block
             boundaries are translated; partial edge blocks fill the rest.
     """
 
     grid: Grid
     blocks: tuple[int, ...]
-    overlap: int = 0
     shift: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -284,8 +270,6 @@ class BlockPartition:
             raise ConfigurationError(
                 f"cell counts {self.grid.n} not divisible by block counts {blocks}"
             )
-        if self.overlap < 0:
-            raise ConfigurationError("overlap must be nonnegative")
         if shift and len(shift) != self.grid.dim:
             raise DimensionError("one shift fraction per dimension is required")
         if any(not 0.0 <= s < 1.0 for s in shift):
@@ -334,12 +318,8 @@ def enumerate_blocks(partition: BlockPartition) -> list[Block]:
                     f"shift fraction {s} leaves a block only {b - a} cells wide"
                 )
         per_dim.append(pieces)
-    iota = partition.overlap
     out: list[Block] = []
     for index in np.ndindex(*[len(p) for p in per_dim]):
         core = tuple(per_dim[k][i] for k, i in enumerate(index))
-        halo = tuple(
-            (max(a - iota, 0), min(b + iota, n)) for (a, b), n in zip(core, grid.n)
-        )
-        out.append(Block(index=tuple(index), core=core, halo=halo))
+        out.append(Block(index=tuple(index), core=core))
     return out

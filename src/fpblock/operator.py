@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.io import mmwrite
 from scipy.linalg import svdvals
 
 from .errors import ConfigurationError, DimensionError, SizeError
@@ -60,12 +59,6 @@ class InteriorOperator:
         if self._normal is None:
             self._normal = (self.matrix @ self.matrix.T).tocsr()
         return self._normal
-
-    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row, col, value) arrays sorted by row then column."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        return coo.row[order], coo.col[order], coo.data[order]
 
 
 def assemble(model: ModelSpec, grid: Grid) -> InteriorOperator:
@@ -137,8 +130,3 @@ def kernel_dimension(op: InteriorOperator, cols_cap: int = _SVD_COLS_CAP) -> int
         return n_cols
     rank = int(np.sum(s > _RANK_RTOL * s[0]))
     return n_cols - rank
-
-
-def export_matrix_market(op: InteriorOperator, path) -> None:
-    """Write the sparse matrix in MatrixMarket coordinate format."""
-    mmwrite(str(path), op.matrix.tocoo())

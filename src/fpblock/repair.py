@@ -101,7 +101,6 @@ def solve_shifting(
         part = BlockPartition(
             grid=base.grid,
             blocks=base.blocks,
-            overlap=0,
             shift=(s,) * base.grid.dim,
         )
         current, reports = solve_blocks(model, current, replace(cfg, partition=part))

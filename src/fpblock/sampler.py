@@ -109,58 +109,12 @@ class Histogram:
         return int(self.counts.sum())
 
 
-def euler_maruyama_step(
-    state: np.ndarray,
-    model: ModelSpec,
-    dt: float,
-    noise: np.ndarray,
-    step: int | None = None,
-) -> np.ndarray:
-    """One explicit step x + f(x) dt + eps sqrt(dt) xi for standard normal xi."""
-    state = np.asarray(state, dtype=float)
-    noise = np.asarray(noise, dtype=float)
-    if state.shape != noise.shape or state.shape[-1] != model.dim:
-        raise DimensionError(
-            f"state {state.shape} and noise {noise.shape} must both end in {model.dim}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = state + model.drift(state) * dt + model.epsilon * np.sqrt(dt) * noise
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError("non-finite state after step", step=step)
-    return out
-
-
 def _safety_bounds(grid: Grid, factor: float) -> tuple[np.ndarray, np.ndarray]:
     lo = np.array(grid.lo)
     hi = np.array(grid.hi)
     center = 0.5 * (lo + hi)
     half = 0.5 * factor * (hi - lo)
     return center - half, center + half
-
-
-def _escape_steps(positions, box_lo, box_hi):
-    """Per chain, the first step index outside the box, or span if none."""
-    bad = ~np.isfinite(positions)
-    bad |= (positions < box_lo) | (positions > box_hi)
-    bad_any = bad.any(axis=2)
-    span = positions.shape[1]
-    first = np.where(bad_any.any(axis=1), np.argmax(bad_any, axis=1), span)
-    return first.astype(np.int64)
-
-
-def _check_positions(positions, box_lo, box_hi, first_step):
-    """Raise DivergenceError pointing at the first offending chain and step."""
-    bad = ~np.isfinite(positions)
-    bad |= (positions < box_lo) | (positions > box_hi)
-    bad_any = bad.any(axis=2)
-    if not bad_any.any():
-        return
-    chain, step = np.unravel_index(int(np.argmax(bad_any)), bad_any.shape)
-    raise DivergenceError(
-        f"chain {chain} left the safety box at step {first_step + step}",
-        chain=int(chain),
-        step=int(first_step + step),
-    )
 
 
 def accumulate_histogram(
@@ -196,80 +150,69 @@ def accumulate_histogram(
     dt = cfg.dt
     counts = np.zeros(grid.num_cells, dtype=np.int64)
 
-    # Every chain carries its own burn and quota balance, so the binned set
-    # never depends on how the run is cut into chunks. Noise is drawn for
-    # all chains each chunk whether or not they still owe samples, which
-    # pins every chain to one fixed point in its generator stream per step.
-    remaining_burn = np.full(n_chains, cfg.burn_in, dtype=np.int64)
-    remaining = quotas.copy()
+    # Every chain carries its own age (states since the start or its last
+    # restart) and count of kept states, so the binned set never depends on
+    # how the run is cut into chunks. Noise is drawn for all chains each chunk
+    # whether or not they still owe samples, which pins every chain to one
+    # fixed point in its generator stream per step.
+    age = np.zeros(n_chains, dtype=np.int64)
+    taken = np.zeros(n_chains, dtype=np.int64)
     restarts = 0
     max_restarts = 64 * n_chains
     step_done = 0
-    while (remaining > 0).any():
-        span = int(min(_CHUNK_STEPS, (remaining_burn + remaining).max()))
+    while (taken < quotas).any():
+        owed = np.maximum(cfg.burn_in - age, 0) + quotas - taken
+        span = int(min(_CHUNK_STEPS, owed.max()))
         noise = np.stack([rng.standard_normal((span, model.dim)) for rng in rngs])
         positions = np.empty((n_chains, span, model.dim))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(span):
-                states = states + model.drift(states) * dt + amp * noise[:, t, :]
-                positions[:, t, :] = states
-        if cfg.on_escape == "error":
-            _check_positions(positions, box_lo, box_hi, step_done)
-            usable = np.full(n_chains, span, dtype=np.int64)
-        else:
-            usable = _escape_steps(positions, box_lo, box_hi)
-        for chain in range(n_chains):
-            seg_start = 0
-            esc = int(usable[chain])
-            end_state = None
-            while True:
-                n_ok = esc - seg_start
-                burn = int(min(remaining_burn[chain], n_ok))
-                take = int(min(remaining[chain], n_ok - burn))
-                if take > 0:
-                    lo = seg_start + burn
-                    flat = flat_bin_indices(grid, positions[chain, lo : lo + take])
-                    flat = flat[flat >= 0]
-                    if flat.size:
-                        counts += np.bincount(flat, minlength=grid.num_cells)
-                remaining_burn[chain] -= burn
-                remaining[chain] -= take
-                if esc >= span:
-                    break
-                if remaining[chain] <= 0:
-                    # Quota already met; park the runaway somewhere finite so
-                    # later chunks stay clean. It keeps drawing noise either
-                    # way, so the other chains never notice.
-                    end_state = initial_point.copy()
-                    break
-                restarts += 1
-                if restarts > max_restarts:
+        start = 0
+        while start < span:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for t in range(start, span):
+                    states = states + model.drift(states) * dt + amp * noise[:, t, :]
+                    positions[:, t, :] = states
+            stretch = positions[:, start:]
+            out = ~((stretch >= box_lo) & (stretch <= box_hi)).all(axis=2)
+            # The stretch ends at its last step, or at the first step where any
+            # chain left the box; a state that left is neither burned nor kept.
+            cut = span - 1
+            escaped = np.zeros(n_chains, dtype=bool)
+            if out.any():
+                if cfg.on_escape == "error":
+                    chain, t = np.unravel_index(int(np.argmax(out)), out.shape)
+                    step = step_done + start + int(t)
                     raise DivergenceError(
-                        f"gave up after {restarts} chain restarts",
-                        chain=chain,
-                        step=step_done + esc,
+                        f"chain {chain} left the safety box at step {step}",
+                        chain=int(chain),
+                        step=step,
                     )
-                remaining_burn[chain] = cfg.burn_in
-                # Replay the rest of the chunk from the initial point. Noise
-                # values stay tied to their global step, so the restarted
-                # path does not depend on where chunk boundaries fall.
-                cur = initial_point[None, :].copy()
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for t in range(esc + 1, span):
-                        cur = cur + model.drift(cur) * dt + amp * noise[chain, t][None, :]
-                        positions[chain, t] = cur[0]
-                end_state = cur[0].copy()
-                seg_start = esc + 1
-                if seg_start >= span:
-                    esc = span
-                else:
-                    esc = seg_start + int(
-                        _escape_steps(
-                            positions[chain : chain + 1, seg_start:], box_lo, box_hi
-                        )[0]
-                    )
-            if end_state is not None:
-                states[chain] = end_state
+                cut = start + int(np.argmax(out.any(axis=0)))
+                escaped = out[:, cut - start]
+            n_ok = cut + 1 - start - escaped
+            lo = start + np.clip(cfg.burn_in - age, 0, n_ok)
+            take = np.minimum(quotas - taken, start + n_ok - lo)
+            for chain in np.flatnonzero(take):
+                flat = flat_bin_indices(
+                    grid, positions[chain, lo[chain] : lo[chain] + take[chain]]
+                )
+                counts += np.bincount(flat[flat >= 0], minlength=grid.num_cells)
+            age += n_ok
+            taken += take
+            # Escaped chains resume from the initial point on the same noise
+            # rows; only those that still owe samples count as restarts and
+            # owe a fresh burn-in.
+            owing = np.flatnonzero(escaped & (taken < quotas))
+            if restarts + owing.size > max_restarts:
+                raise DivergenceError(
+                    f"gave up after {max_restarts + 1} chain restarts",
+                    chain=int(owing[max_restarts - restarts]),
+                    step=step_done + cut,
+                )
+            restarts += owing.size
+            age[owing] = 0
+            states = positions[:, cut].copy()
+            states[escaped] = initial_point
+            start = cut + 1
         step_done += span
     return Histogram(
         grid=grid,

@@ -13,7 +13,6 @@ from fpblock import (
     read_field,
     read_histogram,
     write_field,
-    write_field_csv,
     write_histogram,
     write_rows_csv,
     write_sidecar,
@@ -123,21 +122,6 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     g = Grid((0.0,), (1.0,), (5,))
     write_field(DensityField(g, np.zeros(5)), tmp_path / "f.fpgrid")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.fpgrid"]
-
-
-def test_field_csv_export(tmp_path):
-    g = Grid((0.0, 0.0), (1.0, 1.0), (2, 2))
-    fld = DensityField(g, np.array([0.1, 0.2, 0.3, 0.4]))
-    path = tmp_path / "field.csv"
-    write_field_csv(fld, path)
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == ["x", "y", "value"]
-    assert len(rows) == 5
-    assert float(rows[1][2]) == 0.1
-    assert float(rows[1][0]) == 0.25
-    # last index fastest: second row is cell (1, 2)
-    assert float(rows[2][1]) == 0.75
 
 
 def test_rows_csv_export(tmp_path):

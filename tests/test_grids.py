@@ -147,18 +147,6 @@ def test_partition_rejects_indivisible_and_tiny_blocks():
         BlockPartition(g2, (2, 2))  # 4-cell blocks are below the minimum
 
 
-def test_halo_clamped_at_domain_edges():
-    g = Grid((-2.0, -2.0), (2.0, 2.0), (256, 256))
-    part = BlockPartition(g, (8, 8), overlap=1)
-    blocks = {b.index: b for b in enumerate_blocks(part)}
-    corner = blocks[(0, 0)]
-    middle = blocks[(3, 3)]
-    assert [hi - lo for lo, hi in corner.halo] == [33, 33]
-    assert [hi - lo for lo, hi in middle.halo] == [34, 34]
-    edge = blocks[(0, 3)]
-    assert [hi - lo for lo, hi in edge.halo] == [33, 34]
-
-
 def test_shifted_cuts_one_dimensional_hand_enumeration():
     # 128 cells, 4 blocks of 32, shift of half a block: offset 16
     g = Grid((0.0,), (1.0,), (128,))
@@ -218,13 +206,11 @@ def test_block_shift_fraction_validated():
     g = Grid((0.0, 0.0), (1.0, 1.0), (20, 20))
     with pytest.raises(ConfigurationError):
         BlockPartition(g, (2, 2), shift=(1.0, 0.0))
-    with pytest.raises(ConfigurationError):
-        BlockPartition(g, (2, 2), overlap=-1)
 
 
 def test_block_grids_inherit_parent_coordinates():
     g = Grid((-2.0, -2.0), (2.0, 2.0), (64, 64))
-    part = BlockPartition(g, (2, 2), overlap=1)
+    part = BlockPartition(g, (2, 2))
     b = enumerate_blocks(part)[3]
     assert isinstance(b, Block)
     core_grid = g.subgrid(b.core)

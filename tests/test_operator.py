@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-import scipy.io
-import scipy.sparse
 
 from fpblock import (
     ConfigurationError,
@@ -10,7 +8,6 @@ from fpblock import (
     Grid,
     SizeError,
     assemble,
-    export_matrix_market,
     kernel_dimension,
     ring_exact_density,
     ring_model,
@@ -132,22 +129,3 @@ def test_assembly_validates_input():
     tiny = Grid((0.0, 0.0), (1.0, 1.0), (2, 2))
     with pytest.raises(ConfigurationError):
         assemble(zero_drift_model(2), tiny)
-
-
-def test_triplets_match_matrix():
-    g = Grid((0.0, 0.0), (1.0, 1.0), (6, 6))
-    op = assemble(ring_model(), g)
-    rows, cols, vals = op.triplets()
-    rebuilt = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=op.shape)
-    assert (rebuilt.tocsr() != op.matrix).nnz == 0
-    order = np.lexsort((cols, rows))
-    assert np.all(order == np.arange(len(rows)))
-
-
-def test_matrix_market_round_trip(tmp_path):
-    g = Grid((0.0, 0.0), (1.0, 1.0), (6, 6))
-    op = assemble(ring_model(), g)
-    path = tmp_path / "op.mtx"
-    export_matrix_market(op, path)
-    back = scipy.io.mmread(path).tocsr()
-    assert (back != op.matrix).nnz == 0

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,45 +13,59 @@ from fpblock import (
     ModelSpec,
     SamplerConfig,
     accumulate_histogram,
-    euler_maruyama_step,
     histogram_to_density,
+    mmo_model,
     ring_exact_density,
     ring_model,
+    rossler_model,
     synthetic_reference,
     zero_drift_model,
 )
 from oracles import gauss_cell_integral
 
 
+def _after_first_step(model, initial, seed=0):
+    """State of a one-chain run after its first step, as the drift next sees it."""
+    seen = []
+
+    def drift(p):
+        seen.append(np.array(p[0]))
+        return model.drift(p)
+
+    spy = ModelSpec(name=model.name, dim=model.dim, drift=drift, epsilon=model.epsilon)
+    cfg = SamplerConfig(
+        n_samples=1, burn_in=1, n_chains=1, seed=seed, initial=initial, dt=0.01
+    )
+    accumulate_histogram(spy, Grid((-2.0, -2.0), (2.0, 2.0), (4, 4)), cfg)
+    return seen[1]
+
+
 def test_step_without_drift_or_noise_is_identity():
-    state = np.array([[0.3, -1.2]])
-    out = euler_maruyama_step(state, zero_drift_model(2), 0.01, np.zeros((1, 2)))
-    assert np.array_equal(out, state)
+    # epsilon must be positive; at 1e-300 the noise term is far below an ulp
+    out = _after_first_step(zero_drift_model(2, epsilon=1e-300), (0.3, -1.2))
+    assert np.array_equal(out, [0.3, -1.2])
 
 
 def test_step_applies_drift_term():
-    out = euler_maruyama_step(
-        np.array([[1.0, 0.0]]), ring_model(), 0.01, np.zeros((1, 2))
-    )
-    assert out[0] == pytest.approx([1.0, -0.01])
+    out = _after_first_step(ring_model(epsilon=1e-300), (1.0, 0.0))
+    assert out == pytest.approx([1.0, -0.01])
 
 
 def test_step_applies_scaled_noise():
-    out = euler_maruyama_step(
-        np.array([[0.0, 0.0]]), ring_model(epsilon=1.0), 0.01, np.array([[1.0, 0.0]])
-    )
-    assert out[0] == pytest.approx([0.1, 0.0])
+    # chain 0 of seed 4 draws from the generator seeded by (4, 0)
+    xi = np.random.Generator(np.random.PCG64(np.random.SeedSequence((4, 0))))
+    out = _after_first_step(zero_drift_model(2, epsilon=1.0), (0.0, 0.0), seed=4)
+    assert out == pytest.approx(0.1 * xi.standard_normal(2))
 
 
 def test_step_flags_non_finite_states():
-    with pytest.raises(DivergenceError):
-        euler_maruyama_step(
-            np.array([[0.0, 0.0]]),
-            ring_model(),
-            0.01,
-            np.array([[np.inf, 0.0]]),
-            step=7,
-        )
+    blowup = ModelSpec(
+        name="blowup", dim=2, drift=lambda p: np.full_like(p, np.nan), epsilon=0.01
+    )
+    cfg = SamplerConfig(n_samples=10, burn_in=0, n_chains=2, initial=(0.0, 0.0))
+    with pytest.raises(DivergenceError) as err:
+        accumulate_histogram(blowup, Grid((-2.0, -2.0), (2.0, 2.0), (8, 8)), cfg)
+    assert (err.value.chain, err.value.step) == (0, 0)
 
 
 def test_same_seed_reproduces_counts_exactly():
@@ -68,6 +84,81 @@ def test_counts_do_not_depend_on_chunk_size(monkeypatch):
     monkeypatch.setattr(fpblock.sampler, "_CHUNK_STEPS", 17)
     small = accumulate_histogram(ring_model(), grid, cfg)
     assert np.array_equal(base.counts, small.counts)
+
+
+_ROSSLER_BOX = Grid((-10.0,) * 3, (10.0,) * 3, (16,) * 3)
+
+# Sampler outputs frozen before its escape handling became one lockstep loop:
+# the sha256 of the little-endian counts and the restart count, or, for the run
+# that escapes under the error policy, the (chain, step) its DivergenceError
+# names. That one depends on the chunk size because the error names the lowest
+# chain that escaped within the chunk, not the earliest step.
+_FROZEN_RUNS = {
+    "ring": (
+        ring_model(),
+        Grid((-2.0, -2.0), (2.0, 2.0), (32, 32)),
+        SamplerConfig(n_samples=40_000, burn_in=1_000),
+        ("589618ec1eff01eeb679e85c56f3e675e0d60714515abe7afc376927318a1539", 0),
+    ),
+    "rossler-restarts": (
+        rossler_model(),
+        _ROSSLER_BOX,
+        SamplerConfig(
+            n_samples=20_000, burn_in=500, n_chains=4, seed=1,
+            safety_factor=1.0, on_escape="restart",
+        ),
+        ("dacd3d5c8f2c6ea7b4b528cf43f675fdc95dbbca1f8bfee8a2a5a2a504415f5c", 3),
+    ),
+    "runaway-restarts": (
+        ModelSpec(name="runaway", dim=2, drift=lambda p: 2.0 * np.asarray(p), epsilon=0.5),
+        Grid((-1.0, -1.0), (1.0, 1.0), (8, 8)),
+        SamplerConfig(
+            n_samples=1_000, burn_in=20, n_chains=2, seed=11, initial=(0.0, 0.0),
+            dt=0.01, safety_factor=1.0, on_escape="restart",
+        ),
+        ("0f969d67b65cf52154cfc937f20b50bf1be5d368d300b9405d900f080e07e46e", 15),
+    ),
+    "mmo": (
+        mmo_model(),
+        Grid((-1.5,) * 3, (0.5,) * 3, (16,) * 3),
+        SamplerConfig(n_samples=20_000, dt=5e-4, burn_in=500, n_chains=4, seed=2),
+        ("1e060cc26ce97c16985e6c081d113a2245b6066760f883787b18f06e8e960885", 0),
+    ),
+    "non-divisible": (
+        ring_model(),
+        Grid((-2.0, -2.0), (2.0, 2.0), (16, 16)),
+        SamplerConfig(n_samples=10_007, burn_in=300, n_chains=7, seed=3),
+        ("22063c797f378017bf36445efeb55f52b9f2bd9138eff6153a611832d69ff75d", 0),
+    ),
+    "burn-in-spans-chunks": (
+        ring_model(),
+        Grid((-2.0, -2.0), (2.0, 2.0), (16, 16)),
+        SamplerConfig(n_samples=8_000, burn_in=5_000, n_chains=4, seed=4),
+        ("c96ed5cf9e0d7ece9e55faeb3277c220b302cebd19951cd1d6682da33f3dcfcd", 0),
+    ),
+    "escape-error": (
+        rossler_model(),
+        _ROSSLER_BOX,
+        SamplerConfig(n_samples=20_000, burn_in=500, n_chains=4, seed=1, safety_factor=1.0),
+        {"default": (0, 3847), 13: (1, 3810)},
+    ),
+}
+
+
+@pytest.mark.parametrize("chunk", ["default", 13])
+@pytest.mark.parametrize("case", list(_FROZEN_RUNS))
+def test_sampler_outputs_match_frozen_oracles(case, chunk, monkeypatch):
+    model, grid, cfg, expected = _FROZEN_RUNS[case]
+    if chunk != "default":
+        monkeypatch.setattr(fpblock.sampler, "_CHUNK_STEPS", chunk)
+    if isinstance(expected, dict):
+        with pytest.raises(DivergenceError) as err:
+            accumulate_histogram(model, grid, cfg)
+        assert (err.value.chain, err.value.step) == expected[chunk]
+        return
+    hist = accumulate_histogram(model, grid, cfg)
+    digest = hashlib.sha256(hist.counts.astype("<u8").tobytes()).hexdigest()
+    assert (digest, hist.restarts) == expected
 
 
 def test_different_seeds_differ():
