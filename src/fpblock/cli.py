@@ -134,6 +134,7 @@ def cmd_sample(args) -> int:
         n_chains=cfg.chains,
         seed=cfg.seed,
         initial=cfg.initial,
+        on_escape=cfg.on_escape,
     )
     t0 = time.perf_counter()
     hist = accumulate_histogram(model, grid, scfg)
@@ -153,6 +154,7 @@ def cmd_sample(args) -> int:
             "burn_in": cfg.burn_in,
             "chains": cfg.chains,
             "seed": cfg.seed,
+            "on_escape": cfg.on_escape,
             "samples_retained": hist.total_retained,
             "samples_in_domain": hist.in_domain,
             "restarts": hist.restarts,
@@ -234,6 +236,8 @@ def cmd_solve(args) -> int:
             "renormalized": bool(renormalize),
             "num_block_solves": len(all_reports),
             "total_cg_iterations": int(sum(r.solve.iterations for r in all_reports)),
+            "direct_solves": sum(r.solve.factor_nnz > 0 for r in all_reports),
+            "total_factor_nnz": int(sum(r.solve.factor_nnz for r in all_reports)),
             "worst_constraint_residual": worst_residual(all_reports),
             "min_value": fld.min_value,
             "mass": fld.mass,

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigurationError
+from .sampler import ESCAPE_POLICIES
 
 METHODS = ("plain", "overlap", "shift")
 
@@ -29,6 +30,7 @@ class RunConfig:
     seed: int = 0
     inflate: int = 0
     initial: tuple[float, ...] | None = None
+    on_escape: str = "error"
     blocks: tuple[int, ...] = (8, 8)
     method: str = "plain"
     iota: int = 1
@@ -84,11 +86,14 @@ def _parse_optional_floats(text: str):
     return None if text.strip().lower() == "none" else _parse_floats(text)
 
 
-def _parse_method(text: str) -> str:
-    method = text.strip()
-    if method not in METHODS:
-        raise ConfigurationError(f"method must be one of {METHODS}, got {method!r}")
-    return method
+def _choice(name: str, options: tuple[str, ...]):
+    def parse(text: str) -> str:
+        value = text.strip()
+        if value not in options:
+            raise ConfigurationError(f"{name} must be one of {options}, got {value!r}")
+        return value
+
+    return parse
 
 
 def _show(value) -> str:
@@ -116,8 +121,9 @@ _KEYS: dict[str, tuple[str, object]] = {
     "sampler.seed": ("seed", _parse_int),
     "sampler.inflate": ("inflate", _parse_int),
     "sampler.initial": ("initial", _parse_optional_floats),
+    "sampler.on_escape": ("on_escape", _choice("on_escape", ESCAPE_POLICIES)),
     "solver.blocks": ("blocks", _parse_ints),
-    "solver.method": ("method", _parse_method),
+    "solver.method": ("method", _choice("method", METHODS)),
     "solver.iota": ("iota", _parse_int),
     "solver.schedule": ("schedule", _parse_floats),
     "solver.cg_rel_tol": ("cg_rel_tol", _parse_float),

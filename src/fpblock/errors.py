@@ -37,7 +37,9 @@ class NonConvergenceError(FpblockError):
 
 
 class RankDeficiencyError(FpblockError):
-    """Breakdown of the normal-equations solve (non-positive curvature)."""
+    """Breakdown of the normal-equations solve (non-positive CG curvature, or
+    a sparse factorization that fails or misses its residual bound).
+    """
 
 
 class SizeError(FpblockError):

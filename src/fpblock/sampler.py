@@ -24,6 +24,7 @@ from .grids import DensityField, Grid, flat_bin_indices
 from .models import ModelSpec
 
 _CHUNK_STEPS = 4096
+ESCAPE_POLICIES = ("error", "restart")
 
 _DEFAULT_INITIAL = {
     "ring": (0.0, 0.0),
@@ -69,9 +70,9 @@ class SamplerConfig:
             raise ConfigurationError("need at least one chain")
         if not self.safety_factor >= 1.0:
             raise ConfigurationError("safety_factor must be at least 1")
-        if self.on_escape not in ("error", "restart"):
+        if self.on_escape not in ESCAPE_POLICIES:
             raise ConfigurationError(
-                f"on_escape must be 'error' or 'restart', got {self.on_escape!r}"
+                f"on_escape must be one of {ESCAPE_POLICIES}, got {self.on_escape!r}"
             )
 
 
@@ -179,7 +180,8 @@ def accumulate_histogram(
             escaped = np.zeros(n_chains, dtype=bool)
             if out.any():
                 if cfg.on_escape == "error":
-                    chain, t = np.unravel_index(int(np.argmax(out)), out.shape)
+                    # The earliest escaping step, lowest chain among ties.
+                    t, chain = np.unravel_index(int(np.argmax(out.T)), out.T.shape)
                     step = step_done + start + int(t)
                     raise DivergenceError(
                         f"chain {chain} left the safety box at step {step}",

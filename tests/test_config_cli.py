@@ -42,6 +42,7 @@ def test_round_trip_with_overrides():
             "solver.method=shift",
             "solver.schedule=1/3,2/3,0",
             "solver.blocks=4,4,4",
+            "sampler.on_escape=restart",
         ],
     )
     assert cfg.model == "rossler"
@@ -49,6 +50,7 @@ def test_round_trip_with_overrides():
     assert cfg.grid_n == (64, 64, 64)
     assert cfg.initial == (0.0, -5.0, 0.0)
     assert cfg.schedule == pytest.approx((1 / 3, 2 / 3, 0.0))
+    assert cfg.on_escape == "restart"
     assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -92,6 +94,11 @@ def test_fraction_values_in_schedule():
 def test_method_validated():
     with pytest.raises(ConfigurationError):
         parse_config("solver.method = magic\n")
+
+
+def test_escape_policy_validated():
+    with pytest.raises(ConfigurationError):
+        parse_config("sampler.on_escape = ignore\n")
 
 
 def test_override_requires_key_value_shape():
@@ -142,6 +149,10 @@ def test_cli_pipeline_sample_solve_errors(tmp_path, capsys):
     assert meta["method"] == "plain"
     assert meta["num_block_solves"] == 4
     assert meta["worst_constraint_residual"] < 1e-6
+    # 16^2 blocks are factored directly, so no CG iteration is spent
+    assert meta["direct_solves"] == 4
+    assert meta["total_factor_nnz"] > 0
+    assert meta["total_cg_iterations"] == 0
 
     code = main(
         ["errors", "--config", str(cfg), "--solution", str(sol_path),
@@ -179,6 +190,39 @@ def test_cli_solve_shift_and_overlap_paths(tmp_path):
     )
     assert code == 0
     assert read_field(shift_path).grid.n == (32, 32)
+
+
+def test_cli_rossler_runs_under_the_restart_policy(tmp_path, capsys):
+    # noise kicks chain 1 of seed 5 over the basin rim, and out of the
+    # default safety box, at step 4323
+    cfg = _write_tiny_config(
+        tmp_path / "run.cfg",
+        model="rossler",
+        **{
+            "grid.lo": "-10,-10,-10",
+            "grid.hi": "10,10,10",
+            "grid.n": "16,16,16",
+            "sampler.samples": "80000",
+            "sampler.burn_in": "500",
+            "sampler.chains": "16",
+            "sampler.seed": "5",
+            "solver.blocks": "2,2,2",
+        },
+    )
+    hist_path = tmp_path / "r.fphist"
+    argv = ["sample", "--config", str(cfg), "--out", str(hist_path)]
+    assert main(argv) == 3
+    assert main(argv + ["--set", "sampler.on_escape=restart"]) == 0
+    meta = json.loads((tmp_path / "r.fphist.meta.json").read_text())
+    assert meta["on_escape"] == "restart"
+    assert meta["restarts"] > 0
+    assert read_histogram(hist_path).total_retained == 80_000
+    sol_path = tmp_path / "r.fpgrid"
+    code = main(["solve", "--config", str(cfg), "--hist", str(hist_path),
+                 "--out", str(sol_path)])
+    assert code == 0
+    assert read_field(sol_path).grid.n == (16, 16, 16)
+    capsys.readouterr()
 
 
 def test_cli_single_block_matches_whole_domain(tmp_path):
