@@ -18,11 +18,11 @@ import numpy as np
 from scipy.linalg import svdvals
 
 from .blocks import BlockSolveConfig, restrict, solve_blocks
-from .errors import ConfigurationError, DimensionError, SizeError, UndefinedRatioError
+from .errors import ConfigurationError, DimensionError, UndefinedRatioError
 from .grids import BlockPartition, DensityField, Grid
 from .leastnorm import SolveOptions
 from .models import ModelSpec
-from .operator import _RANK_RTOL, _SVD_COLS_CAP, InteriorOperator
+from .operator import _SVD_COLS_CAP, InteriorOperator, _dense_rank
 from .repair import solve_overlapping, solve_shifting
 from .sampler import SamplerConfig, accumulate_histogram, histogram_to_density
 
@@ -115,20 +115,9 @@ def qr_diagonals(basis: KernelBasis) -> np.ndarray:
 def kernel_basis_numeric(
     op: InteriorOperator, cols_cap: int = _SVD_COLS_CAP
 ) -> np.ndarray:
-    """Orthonormal basis of the numerical kernel via a dense full SVD.
-
-    Right singular vectors whose singular values fall below 1e-10 times the
-    largest one span the kernel; columns past min(rows, cols) count as
-    exact zeros. Capped because the dense SVD is cubic in the grid size.
-    """
-    n_rows, n_cols = op.matrix.shape
-    if n_cols > cols_cap:
-        raise SizeError(
-            f"dense kernel extraction for {n_cols} columns exceeds cap {cols_cap}"
-        )
-    _, s, vh = np.linalg.svd(op.matrix.toarray(), full_matrices=True)
-    cutoff = _RANK_RTOL * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
+    """Orthonormal basis of the numerical kernel: the right singular vectors
+    of a dense full SVD past the numerical rank."""
+    rank, vh = _dense_rank(op, cols_cap, vectors=True)
     return vh[rank:].T
 
 

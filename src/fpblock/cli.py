@@ -236,6 +236,7 @@ def cmd_solve(args) -> int:
             "renormalized": bool(renormalize),
             "num_block_solves": len(all_reports),
             "total_cg_iterations": int(sum(r.solve.iterations for r in all_reports)),
+            "max_cg_iterations": max(r.solve.iterations for r in all_reports),
             "direct_solves": sum(r.solve.factor_nnz > 0 for r in all_reports),
             "total_factor_nnz": int(sum(r.solve.factor_nnz for r in all_reports)),
             "worst_constraint_residual": worst_residual(all_reports),

@@ -37,8 +37,9 @@ class NonConvergenceError(FpblockError):
 
 
 class RankDeficiencyError(FpblockError):
-    """Breakdown of the normal-equations solve (non-positive CG curvature, or
-    a sparse factorization that fails or misses its residual bound).
+    """Breakdown of the normal-equations solve (an empty row of A, non-positive
+    CG curvature, or a sparse factorization that fails or misses its residual
+    bound).
     """
 
 

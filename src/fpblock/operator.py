@@ -112,21 +112,30 @@ def assemble(model: ModelSpec, grid: Grid) -> InteriorOperator:
     return InteriorOperator(grid=grid, model=model, matrix=matrix)
 
 
-def kernel_dimension(op: InteriorOperator, cols_cap: int = _SVD_COLS_CAP) -> int:
-    """Numerical nullity of the operator via a dense SVD.
+def _dense_rank(
+    op: InteriorOperator, cols_cap: int, vectors: bool = False
+) -> tuple[int, np.ndarray | None]:
+    """Numerical rank of A from a dense SVD, with V^T when vectors is set.
 
-    Counts the trailing singular values below 1e-10 times the largest one;
-    columns beyond min(rows, cols) contribute implicit zeros. Guarded by a
-    column cap because the SVD is cubic.
+    The rank counts singular values above 1e-10 times the largest one, so
+    columns beyond min(rows, cols) count as exact zeros. Guarded by a column
+    cap because the SVD is cubic in the grid size.
     """
-    n_rows, n_cols = op.matrix.shape
+    n_cols = op.matrix.shape[1]
     if n_cols > cols_cap:
         raise SizeError(
-            f"dense nullity for {n_cols} columns exceeds the cap {cols_cap}; "
+            f"dense SVD of {n_cols} columns exceeds the cap {cols_cap}; "
             "use the analysis module's closed-form basis for large grids"
         )
-    s = svdvals(op.matrix.toarray())
-    if s.size == 0 or s[0] == 0.0:
-        return n_cols
-    rank = int(np.sum(s > _RANK_RTOL * s[0]))
-    return n_cols - rank
+    dense = op.matrix.toarray()
+    if vectors:
+        _, s, vh = np.linalg.svd(dense, full_matrices=True)
+    else:
+        s, vh = svdvals(dense), None
+    rank = int(np.sum(s > _RANK_RTOL * s[0])) if s.size else 0
+    return rank, vh
+
+
+def kernel_dimension(op: InteriorOperator, cols_cap: int = _SVD_COLS_CAP) -> int:
+    """Numerical nullity of the operator: columns minus the dense SVD rank."""
+    return op.matrix.shape[1] - _dense_rank(op, cols_cap)[0]

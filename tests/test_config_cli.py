@@ -153,6 +153,7 @@ def test_cli_pipeline_sample_solve_errors(tmp_path, capsys):
     assert meta["direct_solves"] == 4
     assert meta["total_factor_nnz"] > 0
     assert meta["total_cg_iterations"] == 0
+    assert meta["max_cg_iterations"] == 0
 
     code = main(
         ["errors", "--config", str(cfg), "--solution", str(sol_path),
@@ -222,6 +223,9 @@ def test_cli_rossler_runs_under_the_restart_policy(tmp_path, capsys):
                  "--out", str(sol_path)])
     assert code == 0
     assert read_field(sol_path).grid.n == (16, 16, 16)
+    # 3-D blocks go to CG, so the hardest block solve took iterations
+    meta = json.loads((tmp_path / "r.fpgrid.meta.json").read_text())
+    assert meta["max_cg_iterations"] > 0
     capsys.readouterr()
 
 

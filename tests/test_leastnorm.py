@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from scipy.sparse.linalg import splu
 
 from fpblock import (
     ConfigurationError,
@@ -10,8 +11,11 @@ from fpblock import (
     InteriorOperator,
     NonConvergenceError,
     RankDeficiencyError,
+    SamplerConfig,
     SolveOptions,
+    accumulate_histogram,
     assemble,
+    histogram_to_density,
     kernel_basis_numeric,
     ring_exact_density,
     ring_model,
@@ -155,10 +159,63 @@ def test_direct_solve_of_singular_system_raises_rank_deficiency():
         solve_least_norm(op, DensityField(grid, np.array([1.0, 0.0, 0.0])))
 
 
+def test_badly_scaled_3d_block_converges_fast_and_agrees_with_lu():
+    # a 16^3 corner block of the sampled 32^3 rossler reference; advection
+    # dominates, so the diagonal of A A^T spans a factor of about 440
+    grid = Grid((-15.0,) * 3, (15.0,) * 3, (32, 32, 32))
+    hist = accumulate_histogram(
+        rossler_model(),
+        grid,
+        SamplerConfig(n_samples=320_000, burn_in=2_000, seed=0, on_escape="restart"),
+    )
+    local = restrict(histogram_to_density(hist), ((0, 16), (0, 16), (0, 16)))
+    op = assemble(rossler_model(), local.grid)
+    u, report = solve_least_norm(op, local)
+    # the diagonal preconditioner takes it in about 85; unpreconditioned, 411
+    assert 0 < report.iterations <= 150
+    b = -(op.matrix @ local.values)
+    y = splu(op.normal_matrix().tocsc()).solve(b)
+    expected = local.values + op.matrix.T @ y
+    assert np.max(np.abs(u.values - expected)) <= 1e-10 * np.max(np.abs(local.values))
+
+
+def test_empty_row_raises_rank_deficiency_before_any_iteration(monkeypatch):
+    # 3-D systems always go to CG; the zeroed row leaves A A^T a zero diagonal
+    grid = Grid((-15.0,) * 3, (0.0,) * 3, (6, 6, 6))
+    matrix = assemble(rossler_model(), grid).matrix.tolil()
+    matrix[5, :] = 0.0
+    op = InteriorOperator(grid=grid, model=rossler_model(), matrix=matrix.tocsr())
+    normal = op.normal_matrix()
+    products = []
+
+    class CountingMatrix:
+        def diagonal(self):
+            return normal.diagonal()
+
+        def __matmul__(self, vec):
+            products.append(1)
+            return normal @ vec
+
+    counting = CountingMatrix()
+    monkeypatch.setattr(op, "normal_matrix", lambda: counting)
+    v = DensityField(grid, np.random.default_rng(7).random(grid.num_cells))
+    with pytest.raises(RankDeficiencyError, match="empty row"):
+        solve_least_norm(op, v)
+    assert products == []
+
+
 def test_breakdown_on_singular_normal_matrix():
     mat = scipy.sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(RankDeficiencyError):
         _cg(mat, np.array([0.0, 1.0]), rel_tol=1e-10, max_iters=10)
+
+
+def test_breakdown_on_indefinite_normal_matrix():
+    # a positive diagonal passes the empty-row check; the curvature check
+    # still catches a matrix that is not positive definite
+    mat = scipy.sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(RankDeficiencyError, match="curvature"):
+        _cg(mat, np.array([1.0, -1.0]), rel_tol=1e-10, max_iters=10)
 
 
 def test_options_validation():
