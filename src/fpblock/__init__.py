@@ -58,7 +58,6 @@ from .grids import (
 from .leastnorm import (
     SolveOptions,
     SolveReport,
-    project_onto_subspace,
     solve_least_norm,
 )
 from .models import (

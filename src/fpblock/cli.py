@@ -1,9 +1,9 @@
 """Command-line pipeline: sample, solve, errors, analyze, convergence.
 
 Every command reads an optional flat key=value config file, applies --set
-overrides and its own flags, runs, writes its output atomically next to a
-JSON metadata sidecar, and exits 0. Configuration problems exit 2,
-numerical failures 3, and file-format or I/O problems 4.
+overrides and then the flags that alias config keys, runs, writes its output
+atomically next to a JSON metadata sidecar, and exits 0. Configuration
+problems exit 2, numerical failures 3, and file-format or I/O problems 4.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .analysis import (
     qr_diagonals,
 )
 from .blocks import BlockSolveConfig, restrict, solve_blocks, worst_residual
-from .config import RunConfig, apply_overrides, parse_config
+from .config import RunConfig, _parse_ints, apply_overrides, parse_config
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -60,11 +60,28 @@ _NUMERIC_ERRORS = (
 )
 
 
+# Flags that are other spellings of config keys: (argparse dest, key).
+_FLAG_KEYS = (
+    ("inflate", "sampler.inflate"),
+    ("method", "solver.method"),
+    ("blocks", "solver.blocks"),
+    ("iota", "solver.iota"),
+    ("schedule", "solver.schedule"),
+    ("renormalize", "solver.renormalize"),
+)
+
+
 def _load_config(args) -> RunConfig:
+    """Config file, then --set overrides, then aliasing flags, in that order."""
     cfg = RunConfig()
     if getattr(args, "config", None):
         cfg = parse_config(Path(args.config).read_text())
-    return apply_overrides(cfg, getattr(args, "set", None) or [])
+    pairs = list(getattr(args, "set", None) or [])
+    for dest, key in _FLAG_KEYS:
+        value = getattr(args, dest, None)
+        if value is not None:
+            pairs.append(f"{key}={value}")
+    return apply_overrides(cfg, pairs)
 
 
 def _core_grid(cfg: RunConfig) -> Grid:
@@ -80,42 +97,13 @@ def _solve_options(cfg: RunConfig) -> SolveOptions:
     return SolveOptions(cg_rel_tol=cfg.cg_rel_tol, cg_max_iters=max_iters)
 
 
-def _parse_blocks(text: str) -> tuple[int, ...]:
-    sep = "x" if "x" in text else ","
-    try:
-        return tuple(int(tok) for tok in text.split(sep))
-    except ValueError as exc:
-        raise ConfigurationError(f"bad block specification {text!r}") from exc
-
-
-def _parse_fractions(text: str) -> tuple[float, ...]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if "/" in tok:
-            num, _, den = tok.partition("/")
-            out.append(float(num) / float(den))
-        else:
-            out.append(float(tok))
-    return tuple(out)
-
-
 def _infer_inflation(hist_grid: Grid, core: Grid) -> int:
     """How many cells per side the histogram grid extends past the core."""
-    diffs = {hn - cn for hn, cn in zip(hist_grid.n, core.n)}
-    if len(diffs) != 1:
-        raise ConfigurationError(
-            f"histogram grid {hist_grid.n} is not a uniform inflation of {core.n}"
-        )
-    diff = diffs.pop()
-    if diff < 0 or diff % 2 != 0:
-        raise ConfigurationError(
-            f"histogram grid {hist_grid.n} cannot contain the core grid {core.n}"
-        )
-    iota = diff // 2
+    iota = max((hist_grid.n[0] - core.n[0]) // 2, 0)
     if core.inflate(iota) != hist_grid:
         raise ConfigurationError(
-            "histogram bounds do not line up with the configured grid"
+            f"histogram grid {hist_grid.n} on {hist_grid.lo}..{hist_grid.hi} is "
+            f"not the configured grid {core.n} inflated by whole cells"
         )
     return iota
 
@@ -123,10 +111,7 @@ def _infer_inflation(hist_grid: Grid, core: Grid) -> int:
 def cmd_sample(args) -> int:
     cfg = _load_config(args)
     model = _model(cfg)
-    inflate = args.inflate if args.inflate is not None else cfg.inflate
-    if inflate < 0:
-        raise ConfigurationError("inflation must be nonnegative")
-    grid = _core_grid(cfg).inflate(inflate)
+    grid = _core_grid(cfg).inflate(cfg.inflate)
     scfg = SamplerConfig(
         n_samples=cfg.samples,
         dt=cfg.dt,
@@ -149,7 +134,7 @@ def cmd_sample(args) -> int:
             "grid_n": list(grid.n),
             "grid_lo": list(grid.lo),
             "grid_hi": list(grid.hi),
-            "inflate": inflate,
+            "inflate": cfg.inflate,
             "dt": cfg.dt,
             "burn_in": cfg.burn_in,
             "chains": cfg.chains,
@@ -170,55 +155,35 @@ def cmd_sample(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
-    if args.method:
-        cfg = apply_overrides(cfg, [f"solver.method={args.method}"])
-    if args.blocks:
-        blocks = _parse_blocks(args.blocks)
-        cfg = apply_overrides(
-            cfg, ["solver.blocks=" + ",".join(str(b) for b in blocks)]
-        )
-    if args.iota is not None:
-        cfg = apply_overrides(cfg, [f"solver.iota={args.iota}"])
-    if args.schedule:
-        sched = _parse_fractions(args.schedule)
-        cfg = apply_overrides(
-            cfg, ["solver.schedule=" + ",".join(repr(s) for s in sched)]
-        )
-    renormalize = cfg.renormalize or args.renormalize
-
     model = _model(cfg)
     hist = fileio.read_histogram(args.hist)
     core = _core_grid(cfg)
-    iota_hist = _infer_inflation(hist.grid, core)
+    inflation = _infer_inflation(hist.grid, core)
+    # overlap solves need iota halo cells around the core; the others none
+    keep = cfg.iota if cfg.method == "overlap" else 0
+    if inflation < keep:
+        raise ConfigurationError(
+            f"overlap iota={keep} needs a histogram sampled with "
+            f"--inflate {keep} or more, got {inflation}"
+        )
     density = histogram_to_density(hist)
+    trim = inflation - keep
+    if trim:
+        ranges = tuple((trim, trim + m) for m in core.inflate(keep).n)
+        density = restrict(density, ranges)
     partition = BlockPartition(grid=core, blocks=cfg.blocks)
     solve_cfg = BlockSolveConfig(partition=partition, solve=_solve_options(cfg))
 
     t0 = time.perf_counter()
     if cfg.method == "overlap":
-        if iota_hist < cfg.iota:
-            raise ConfigurationError(
-                f"overlap iota={cfg.iota} needs a histogram sampled with "
-                f"--inflate {cfg.iota} or more, got {iota_hist}"
-            )
-        if iota_hist > cfg.iota:
-            trim = iota_hist - cfg.iota
-            ranges = tuple((trim, trim + m) for m in core.inflate(cfg.iota).n)
-            density = restrict(density, ranges)
-        fld, reports = solve_overlapping(model, density, solve_cfg, cfg.iota)
-        all_reports = reports
+        fld, all_reports = solve_overlapping(model, density, solve_cfg, cfg.iota)
+    elif cfg.method == "plain":
+        fld, all_reports = solve_blocks(model, density, solve_cfg)
     else:
-        if iota_hist > 0:
-            ranges = tuple((iota_hist, iota_hist + m) for m in core.n)
-            density = restrict(density, ranges)
-        if cfg.method == "plain":
-            fld, reports = solve_blocks(model, density, solve_cfg)
-            all_reports = reports
-        else:
-            fld, rounds = solve_shifting(model, density, solve_cfg, cfg.schedule)
-            all_reports = [rep for reps in rounds for rep in reps]
+        fld, rounds = solve_shifting(model, density, solve_cfg, cfg.schedule)
+        all_reports = [rep for reps in rounds for rep in reps]
     wall = time.perf_counter() - t0
-    if renormalize:
+    if cfg.renormalize:
         fld = fld.renormalized()
 
     fileio.write_field(fld, args.out)
@@ -233,7 +198,7 @@ def cmd_solve(args) -> int:
             "iota": cfg.iota if cfg.method == "overlap" else None,
             "schedule": list(cfg.schedule) if cfg.method == "shift" else None,
             "cg_rel_tol": cfg.cg_rel_tol,
-            "renormalized": bool(renormalize),
+            "renormalized": cfg.renormalize,
             "num_block_solves": len(all_reports),
             "total_cg_iterations": int(sum(r.solve.iterations for r in all_reports)),
             "max_cg_iterations": max(r.solve.iterations for r in all_reports),
@@ -342,7 +307,7 @@ def cmd_analyze(args) -> int:
     hi = cfg.grid_hi[:2]
     grid = Grid(lo, hi, (args.n, args.n))
     op = assemble(model, grid)
-    thicknesses = tuple(int(t) for t in args.thickness.split(","))
+    thicknesses = _parse_ints(args.thickness)
     rows = []
     for d in thicknesses:
         report = principal_angles(op, d)
@@ -375,7 +340,7 @@ def cmd_convergence(args) -> int:
         raise ConfigurationError("the convergence study needs the exact ring density")
     model = _model(cfg)
     exact = ring_exact_density(model.epsilon)
-    mesh_sizes = tuple(int(tok) for tok in args.mesh.split(","))
+    mesh_sizes = _parse_ints(args.mesh)
     methods = tuple(args.methods.split(","))
     rows = convergence_study(
         model,
@@ -434,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="run chains and write an fphist histogram")
     common(p)
-    p.add_argument("--inflate", type=int, default=None, metavar="IOTA",
+    p.add_argument("--inflate", metavar="IOTA",
                    help="extra cells per side on the binning grid")
     p.add_argument("--out", required=True, help="output .fphist path")
     p.set_defaults(func=cmd_sample)
@@ -442,12 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="project a histogram onto the kernel blockwise")
     common(p)
     p.add_argument("--hist", required=True, help="input .fphist path")
-    p.add_argument("--method", choices=["plain", "overlap", "shift"], default=None)
-    p.add_argument("--blocks", metavar="KxL[xM]", default=None)
-    p.add_argument("--iota", type=int, default=None, help="overlap extension")
-    p.add_argument("--schedule", default=None, metavar="S1,S2,...",
+    p.add_argument("--method", choices=["plain", "overlap", "shift"])
+    p.add_argument("--blocks", metavar="KxL[xM]",
+                   type=lambda text: text.replace("x", ","))
+    p.add_argument("--iota", help="overlap extension")
+    p.add_argument("--schedule", metavar="S1,S2,...",
                    help="shift fractions, e.g. 1/3,2/3,0")
-    p.add_argument("--renormalize", action="store_true",
+    p.add_argument("--renormalize", action="store_const", const="true",
                    help="scale the result to unit mass")
     p.add_argument("--out", required=True, help="output .fpgrid path")
     p.set_defaults(func=cmd_solve)

@@ -212,21 +212,3 @@ def solve_least_norm(
         wall_time=time.perf_counter() - t0,
     )
     return field, report
-
-
-def project_onto_subspace(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of w onto the span of orthonormal columns.
-
-    The basis is validated: its Gram matrix must match the identity to
-    1e-10, otherwise the projection formula B B^T w would silently be wrong.
-    """
-    basis = np.asarray(basis, dtype=float)
-    w = np.asarray(w, dtype=float).ravel()
-    if basis.ndim != 2 or basis.shape[0] != w.size:
-        raise DimensionError(
-            f"basis of shape {basis.shape} cannot project a vector of length {w.size}"
-        )
-    gram = basis.T @ basis
-    if np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-10:
-        raise ConfigurationError("basis columns are not orthonormal")
-    return basis @ (basis.T @ w)

@@ -318,6 +318,42 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--hist", "{tmp}/h.fphist", "--out", "{tmp}/u.fpgrid",
+         "--schedule", "1/0"],
+        ["solve", "--hist", "{tmp}/h.fphist", "--out", "{tmp}/u.fpgrid",
+         "--schedule", "abc"],
+        ["analyze", "angles", "--n", "8", "--thickness", "a"],
+        ["convergence", "--mesh", "6a", "--out", "{tmp}/c.csv"],
+    ],
+    ids=["schedule-1/0", "schedule-abc", "thickness-a", "mesh-6a"],
+)
+def test_cli_malformed_flag_values_exit_2(tmp_path, capsys, argv):
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_flags_win_over_set_and_both_block_spellings_agree(tmp_path):
+    cfg = _write_tiny_config(tmp_path / "run.cfg")
+    hist_path = tmp_path / "h.fphist"
+    assert main(["sample", "--config", str(cfg), "--out", str(hist_path)]) == 0
+
+    def solve(name, *flags):
+        argv = ["solve", "--config", str(cfg), "--hist", str(hist_path), *flags]
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
+        return meta, (tmp_path / name).read_bytes()
+
+    meta, _ = solve("m.fpgrid", "--set", "solver.method=plain", "--method", "shift")
+    assert meta["method"] == "shift"
+    comma = solve("c.fpgrid", "--set", "solver.blocks=4,4", "--blocks", "2,2")
+    cross = solve("x.fpgrid", "--set", "solver.blocks=4,4", "--blocks", "2x2")
+    assert comma[0]["blocks"] == cross[0]["blocks"] == [2, 2]
+    assert comma[1] == cross[1]
+
+
 def test_cli_analyze_kernel(tmp_path, capsys):
     out = tmp_path / "kernel.csv"
     assert main(["analyze", "kernel", "--n", "21", "--out", str(out)]) == 0

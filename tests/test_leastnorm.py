@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse
 from scipy.sparse.linalg import splu
 
@@ -21,7 +20,6 @@ from fpblock import (
     ring_model,
     rossler_model,
     solve_least_norm,
-    project_onto_subspace,
     restrict,
     synthetic_reference,
     zero_drift_model,
@@ -225,39 +223,6 @@ def test_options_validation():
         SolveOptions(cg_rel_tol=1.5)
     with pytest.raises(ConfigurationError):
         SolveOptions(cg_max_iters=-2)
-
-
-def test_projection_keeps_span_members():
-    rng = np.random.default_rng(21)
-    basis = scipy.linalg.orth(rng.normal(size=(40, 6)))
-    w = basis @ rng.normal(size=6)
-    assert np.allclose(project_onto_subspace(basis, w), w, atol=1e-12)
-
-
-def test_projection_annihilates_orthogonal_complement():
-    rng = np.random.default_rng(22)
-    basis = scipy.linalg.orth(rng.normal(size=(40, 6)))
-    w = rng.normal(size=40)
-    w -= basis @ (basis.T @ w)
-    assert np.max(np.abs(project_onto_subspace(basis, w))) < 1e-12
-
-
-def test_projection_of_white_noise_has_sqrt_k_norm():
-    rng = np.random.default_rng(23)
-    n, k = 400, 25
-    basis = scipy.linalg.orth(rng.normal(size=(n, k)))
-    norms = [
-        np.linalg.norm(project_onto_subspace(basis, rng.normal(size=n)))
-        for _ in range(200)
-    ]
-    assert np.sqrt(k) * 0.85 <= np.mean(norms) <= np.sqrt(k) * 1.15
-
-
-def test_projection_requires_orthonormal_columns():
-    rng = np.random.default_rng(24)
-    skew = rng.normal(size=(30, 4))
-    with pytest.raises(ConfigurationError):
-        project_onto_subspace(skew, rng.normal(size=30))
 
 
 def test_noise_reduction_follows_kernel_dimension():

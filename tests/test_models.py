@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -39,7 +42,8 @@ def test_zero_drift_model():
 
 
 def test_ring_normalizer_matches_closed_form():
-    # two independent quadrature routes for K must agree tightly
+    # the library and the oracle share the erf formula for K; the
+    # independent check is grid quadrature, in the next test
     for eps in (1.0, 0.7, 1.3):
         dens = ring_exact_density(epsilon=eps)
         k_closed = ring_normalizer_closed_form(eps)
@@ -54,6 +58,19 @@ def test_ring_density_integrates_to_one():
     total = grid_quadrature(dens, g, order=3)
     # the tail outside [-3,3]^2 is below 1e-6
     assert total == pytest.approx(1.0, abs=2e-6)
+
+
+def test_import_needs_no_quadrature_or_optimizer():
+    # K is closed form, so importing the package and its CLI pulls in
+    # neither scipy.integrate nor the scipy.optimize it drags along
+    code = (
+        "import sys, fpblock, fpblock.cli; "
+        "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_ring_density_radial_symmetry():
