@@ -193,11 +193,15 @@ def cmd_solve(args) -> int:
             "command": "solve",
             "model": model.name,
             "epsilon": model.epsilon,
+            "grid_n": list(core.n),
+            "grid_lo": list(core.lo),
+            "grid_hi": list(core.hi),
             "method": cfg.method,
             "blocks": list(cfg.blocks),
             "iota": cfg.iota if cfg.method == "overlap" else None,
             "schedule": list(cfg.schedule) if cfg.method == "shift" else None,
             "cg_rel_tol": cfg.cg_rel_tol,
+            "cg_max_iters": cfg.cg_max_iters,
             "renormalized": cfg.renormalize,
             "num_block_solves": len(all_reports),
             "total_cg_iterations": int(sum(r.solve.iterations for r in all_reports)),
@@ -238,6 +242,8 @@ def _error_row(fld: DensityField, ref: DensityField) -> dict:
 def cmd_errors(args) -> int:
     cfg = _load_config(args)
     fld = fileio.read_field(args.solution)
+    meta = {"command": "errors", "solution": str(args.solution),
+            "reference": str(args.reference)}
     if args.reference == "exact":
         if cfg.model != "ring":
             raise ConfigurationError(
@@ -245,6 +251,7 @@ def cmd_errors(args) -> int:
             )
         model = _model(cfg)
         ref = DensityField.from_function(fld.grid, ring_exact_density(model.epsilon))
+        meta.update(model=model.name, epsilon=model.epsilon)
     else:
         ref = fileio.read_field(args.reference)
         if ref.grid != fld.grid:
@@ -253,11 +260,7 @@ def cmd_errors(args) -> int:
     names = list(row)
     if args.out:
         fileio.write_rows_csv([row], names, args.out)
-        fileio.write_sidecar(
-            args.out,
-            {"command": "errors", "solution": str(args.solution),
-             "reference": str(args.reference)},
-        )
+        fileio.write_sidecar(args.out, meta)
     print(",".join(names))
     print(",".join(str(row[k]) for k in names))
     return EXIT_OK

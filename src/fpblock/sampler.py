@@ -226,6 +226,8 @@ def accumulate_histogram(
 
 def histogram_to_density(hist: Histogram) -> DensityField:
     """Counts scaled to a density: counts / (total_retained * h^dim)."""
+    if hist.total_retained == 0:
+        raise EmptyHistogramError("no state was retained: the sample is empty")
     if hist.in_domain == 0:
         raise EmptyHistogramError("every retained state fell outside the domain")
     scale = 1.0 / (hist.total_retained * hist.grid.cell_volume)

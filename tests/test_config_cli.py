@@ -14,6 +14,7 @@ from fpblock import (
     parse_config,
     read_field,
     read_histogram,
+    ring_model,
     serialize_config,
     write_field,
 )
@@ -154,12 +155,21 @@ def test_cli_pipeline_sample_solve_errors(tmp_path, capsys):
     assert meta["total_factor_nnz"] > 0
     assert meta["total_cg_iterations"] == 0
     assert meta["max_cg_iterations"] == 0
+    # the grid and the CG cap are recorded, so the sidecar reproduces the run
+    assert meta["grid_n"] == [32, 32]
+    assert meta["grid_lo"] == [-2.0, -2.0]
+    assert meta["grid_hi"] == [2.0, 2.0]
+    assert meta["cg_max_iters"] == 0
 
     code = main(
         ["errors", "--config", str(cfg), "--solution", str(sol_path),
          "--reference", "exact", "--out", str(tmp_path / "err.csv")]
     )
     assert code == 0
+    meta = json.loads((tmp_path / "err.csv.meta.json").read_text())
+    assert meta["reference"] == "exact"
+    assert meta["model"] == "ring"
+    assert meta["epsilon"] == ring_model().epsilon
     out = capsys.readouterr().out
     lines = [ln for ln in out.strip().splitlines() if "," in ln]
     header, row = lines[-2].split(","), lines[-1].split(",")
@@ -316,6 +326,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["solve", "--config", str(ok), "--hist", str(junk),
                  "--out", str(tmp_path / "z.fpgrid")]) == 4
     capsys.readouterr()
+
+
+def test_cli_solve_of_an_empty_sample_says_no_state_was_retained(tmp_path, capsys):
+    cfg = _write_tiny_config(tmp_path / "run.cfg", **{"sampler.samples": "0"})
+    hist_path = tmp_path / "empty.fphist"
+    assert main(["sample", "--config", str(cfg), "--out", str(hist_path)]) == 0
+    capsys.readouterr()
+    code = main(["solve", "--config", str(cfg), "--hist", str(hist_path),
+                 "--out", str(tmp_path / "u.fpgrid")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "no state was retained" in err
+    assert "outside the domain" not in err
 
 
 @pytest.mark.parametrize(

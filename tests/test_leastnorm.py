@@ -24,7 +24,7 @@ from fpblock import (
     synthetic_reference,
     zero_drift_model,
 )
-from fpblock.leastnorm import _cg
+from fpblock.leastnorm import _cg, _vcycle
 
 
 def _toy_operator():
@@ -146,6 +146,42 @@ def test_large_and_3d_systems_stay_on_cg(model, grid):
     _, report = solve_least_norm(op, v, SolveOptions(cg_rel_tol=1e-3))
     assert report.iterations > 0
     assert report.factor_nnz == 0
+
+
+@pytest.mark.parametrize(
+    "model, grid",
+    [
+        (ring_model(), Grid((-2.0, -2.0), (2.0, 2.0), (64, 64))),
+        (zero_drift_model(1), Grid((0.0,), (1.0,), (2000,))),
+    ],
+    ids=["ring-64^2", "line-2000"],
+)
+def test_multigrid_preconditioner_is_symmetric_positive_definite(model, grid):
+    # CG is only valid with a symmetric positive definite preconditioner
+    op = assemble(model, grid)
+    normal = op.normal_matrix()
+    precondition = _vcycle(normal, 1.0 / normal.diagonal(), op.interior_shape)
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        x, y = rng.normal(size=(2, normal.shape[0]))
+        bx, by = precondition(x), precondition(y)
+        assert abs(bx @ y - x @ by) <= 1e-12 * np.linalg.norm(bx) * np.linalg.norm(y)
+        assert bx @ x > 0.0
+
+
+def test_whole_128_ring_projection_agrees_with_jacobi_in_few_iterations():
+    grid = Grid((-2.0, -2.0), (2.0, 2.0), (128, 128))
+    v = synthetic_reference(
+        DensityField.from_function(grid, ring_exact_density()), zeta=0.01, seed=0
+    )
+    op = assemble(ring_model(), grid)
+    u, report = solve_least_norm(op, v)
+    # the multigrid V-cycle takes about 200; the diagonal alone, 4,034
+    assert 0 < report.iterations <= 300
+    b = -(op.matrix @ v.values)
+    y, iters, _ = _cg(op.normal_matrix(), b, rel_tol=1e-10, max_iters=100_000)
+    assert iters > 1000
+    assert np.max(np.abs(u.values - (v.values + op.matrix.T @ y))) <= 1e-10
 
 
 def test_direct_solve_of_singular_system_raises_rank_deficiency():
