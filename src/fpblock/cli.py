@@ -43,7 +43,12 @@ from .leastnorm import SolveOptions
 from .models import ModelSpec, model_by_name, ring_exact_density, zero_drift_model
 from .operator import assemble
 from .repair import solve_overlapping, solve_shifting
-from .sampler import SamplerConfig, accumulate_histogram, histogram_to_density
+from .sampler import (
+    SamplerConfig,
+    accumulate_histogram,
+    histogram_to_density,
+    start_point,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -139,10 +144,12 @@ def cmd_sample(args) -> int:
             "burn_in": cfg.burn_in,
             "chains": cfg.chains,
             "seed": cfg.seed,
+            "initial": list(start_point(model, cfg.initial)),
             "on_escape": cfg.on_escape,
             "samples_retained": hist.total_retained,
             "samples_in_domain": hist.in_domain,
             "restarts": hist.restarts,
+            "steps": hist.steps,
             "wall_time": wall,
         },
     )

@@ -6,6 +6,14 @@ the resulting histogram is bit-identical for a fixed (seed, n_chains) no
 matter how the work is chunked or ordered. States that land outside the
 grid are retained in the total but binned nowhere, which keeps the density
 estimate unbiased on the box.
+
+With a few chains of two or three coordinates, a step costs its Python and
+numpy calls, not its arithmetic, so the step makes as few as it can. Each
+chunk draws every chain's noise into one (span, n_chains, dim) array and
+scales it by eps sqrt(dt) once. A step is then one drift call and three
+ufuncs writing into preallocated rows: x + f(x) dt + eps sqrt(dt) xi, rounded
+exactly as that expression is. The last ufunc writes the new state into its
+row of the chunk's positions, so no copy follows.
 """
 
 from __future__ import annotations
@@ -81,14 +89,16 @@ class Histogram:
     """Integer cell counts plus the retained-state total behind them.
 
     restarts reports how many times a chain was sent back to its initial
-    point during the run; it is a diagnostic and is not stored when the
-    histogram is written to disk.
+    point during the run, and steps how many lockstep steps the run took,
+    restart burn-ins included; each step advances every chain once. Both are
+    diagnostics and are not stored when the histogram is written to disk.
     """
 
     grid: Grid
     counts: np.ndarray
     total_retained: int
     restarts: int = 0
+    steps: int = 0
 
     def __post_init__(self):
         counts = np.array(self.counts, dtype=np.uint64).ravel()
@@ -104,6 +114,8 @@ class Histogram:
             raise ConfigurationError("more binned counts than retained states")
         if self.restarts < 0:
             raise ConfigurationError("restarts cannot be negative")
+        if self.steps < 0:
+            raise ConfigurationError("steps cannot be negative")
 
     @property
     def in_domain(self) -> int:
@@ -118,6 +130,19 @@ def _safety_bounds(grid: Grid, factor: float) -> tuple[np.ndarray, np.ndarray]:
     return center - half, center + half
 
 
+def start_point(
+    model: ModelSpec, initial: tuple[float, ...] | None
+) -> tuple[float, ...]:
+    """The point every chain starts and restarts from: initial, or the model default."""
+    if initial is None:
+        initial = _DEFAULT_INITIAL.get(model.name, (0.0,) * model.dim)
+    if len(initial) != model.dim:
+        raise DimensionError(
+            f"initial point of length {len(initial)} for a {model.dim}-d model"
+        )
+    return tuple(float(v) for v in initial)
+
+
 def accumulate_histogram(
     model: ModelSpec, grid: Grid, cfg: SamplerConfig
 ) -> Histogram:
@@ -125,13 +150,7 @@ def accumulate_histogram(
     if model.dim != grid.dim:
         raise DimensionError(f"{model.dim}-d model binned on a {grid.dim}-d grid")
     n_chains = cfg.n_chains
-    initial = cfg.initial
-    if initial is None:
-        initial = _DEFAULT_INITIAL.get(model.name, (0.0,) * model.dim)
-    if len(initial) != model.dim:
-        raise DimensionError(
-            f"initial point of length {len(initial)} for a {model.dim}-d model"
-        )
+    initial = start_point(model, cfg.initial)
     if cfg.n_samples == 0:
         return Histogram(
             grid=grid,
@@ -161,17 +180,27 @@ def accumulate_histogram(
     restarts = 0
     max_restarts = 64 * n_chains
     step_done = 0
+    drift = model.drift
+    drifted = np.empty_like(states)
     while (taken < quotas).any():
         owed = np.maximum(cfg.burn_in - age, 0) + quotas - taken
         span = int(min(_CHUNK_STEPS, owed.max()))
-        noise = np.stack([rng.standard_normal((span, model.dim)) for rng in rngs])
-        positions = np.empty((n_chains, span, model.dim))
+        noise = np.empty((span, n_chains, model.dim))
+        for chain, rng in enumerate(rngs):
+            noise[:, chain] = rng.standard_normal((span, model.dim))
+        noise *= amp
+        # Step t writes row t, and that row is the state the next step reads.
+        rows = np.empty_like(noise)
+        positions = rows.transpose(1, 0, 2)
         start = 0
         while start < span:
             with np.errstate(over="ignore", invalid="ignore"):
-                for t in range(start, span):
-                    states = states + model.drift(states) * dt + amp * noise[:, t, :]
-                    positions[:, t, :] = states
+                # states + f(states) dt + amp xi, rounded in that order. The
+                # drift's output is only read: a drift may return its input.
+                for xi, row in zip(noise[start:], rows[start:]):
+                    np.multiply(drift(states), dt, out=drifted)
+                    drifted += states
+                    states = np.add(drifted, xi, out=row)
             stretch = positions[:, start:]
             out = ~((stretch >= box_lo) & (stretch <= box_hi)).all(axis=2)
             # The stretch ends at its last step, or at the first step where any
@@ -221,6 +250,7 @@ def accumulate_histogram(
         counts=counts.astype(np.uint64),
         total_retained=cfg.n_samples,
         restarts=restarts,
+        steps=step_done,
     )
 
 

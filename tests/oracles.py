@@ -110,3 +110,30 @@ def dense_interior_matrix(model, grid):
                 mat[row, flat(nb)] = 0.5 * eps2 / h**2 - sgn * f / (2.0 * h)
         row += 1
     return mat
+
+
+def ring_drift_reference(p):
+    """f(x, y) = (-4x(x^2+y^2-1) + y, -4y(x^2+y^2-1) - x), one component at a time."""
+    p = np.asarray(p, dtype=float)
+    x, y = p[..., 0], p[..., 1]
+    g = 4.0 * (x * x + y * y - 1.0)
+    return np.stack((-x * g + y, -y * g - x), axis=-1)
+
+
+def rossler_drift_reference(p, a=0.2, b=0.2, c=5.7):
+    """f(x, y, z) = (-y - z, x + a y, b + z (x - c))."""
+    p = np.asarray(p, dtype=float)
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    return np.stack((-y - z, x + a * y, b + z * (x - c)), axis=-1)
+
+
+def mmo_drift_reference(
+    p, eta=0.01, nu=0.0072168, a=-0.3872, b=-0.3251, c=1.17
+):
+    """f(x, y, z) = ((y - x^2 - x^3)/eta, z - x, -nu - a x - b y - c z)."""
+    p = np.asarray(p, dtype=float)
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    return np.stack(
+        ((y - x * x - x * x * x) / eta, z - x, -nu - a * x - b * y - c * z),
+        axis=-1,
+    )

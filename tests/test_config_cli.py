@@ -137,6 +137,10 @@ def test_cli_pipeline_sample_solve_errors(tmp_path, capsys):
     meta = json.loads((tmp_path / "ring.fphist.meta.json").read_text())
     assert meta["seed"] == 7
     assert meta["command"] == "sample"
+    # the start point decides the histogram, so the model default is recorded
+    assert meta["initial"] == [0.0, 0.0]
+    # 2,000 burn-in steps, then 10,000 kept states for each of the 4 chains
+    assert meta["steps"] == 12_000
 
     sol_path = tmp_path / "ring.fpgrid"
     code = main(
@@ -326,6 +330,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["solve", "--config", str(ok), "--hist", str(junk),
                  "--out", str(tmp_path / "z.fpgrid")]) == 4
     capsys.readouterr()
+
+
+def test_cli_sample_sidecar_tells_start_points_apart(tmp_path, capsys):
+    settings = {"sampler.samples": "400", "sampler.burn_in": "10"}
+    metas = []
+    for name, initial in (("a", "none"), ("b", "0.5,-0.5")):
+        cfg = _write_tiny_config(
+            tmp_path / f"{name}.cfg", **settings, **{"sampler.initial": initial}
+        )
+        out = tmp_path / f"{name}.fphist"
+        assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 0
+        metas.append(json.loads((tmp_path / f"{name}.fphist.meta.json").read_text()))
+    capsys.readouterr()
+    assert [m["initial"] for m in metas] == [[0.0, 0.0], [0.5, -0.5]]
+    assert metas[0]["steps"] == metas[1]["steps"] == 10 + 400 // 4
 
 
 def test_cli_solve_of_an_empty_sample_says_no_state_was_retained(tmp_path, capsys):

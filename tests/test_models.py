@@ -14,7 +14,13 @@ from fpblock import (
     rossler_model,
     zero_drift_model,
 )
-from oracles import grid_quadrature, ring_normalizer_closed_form
+from oracles import (
+    grid_quadrature,
+    mmo_drift_reference,
+    ring_drift_reference,
+    ring_normalizer_closed_form,
+    rossler_drift_reference,
+)
 
 
 def test_ring_drift_hand_value():
@@ -32,6 +38,35 @@ def test_ring_drift_is_batch_friendly():
     assert out[1] == pytest.approx([0.0, 0.0])
     g = 4.0 * (1.0 + 1.0 - 1.0)
     assert out[2] == pytest.approx([-g + 1.0, -g - 1.0])
+
+
+_DRIFT_REFERENCES = {
+    "ring": (ring_model(), ring_drift_reference),
+    "rossler": (rossler_model(), rossler_drift_reference),
+    "rossler-params": (
+        rossler_model(a=0.1, b=-0.3, c=4.0),
+        lambda p: rossler_drift_reference(p, a=0.1, b=-0.3, c=4.0),
+    ),
+    "mmo": (mmo_model(), mmo_drift_reference),
+}
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+@pytest.mark.parametrize("case", list(_DRIFT_REFERENCES))
+def test_drift_is_bit_identical_to_its_stacked_formula(case, shape):
+    model, reference = _DRIFT_REFERENCES[case]
+    pts = 1.5 * np.random.default_rng(len(shape)).standard_normal(shape + (model.dim,))
+    # signed zeros and points on the axes, where a reordered sum could flip a sign
+    pts.reshape(-1, model.dim)[0] = 0.0
+    pts.reshape(-1, model.dim)[-1, 1:] = -0.0
+    out = model.drift(pts)
+    ref = reference(pts)
+    assert out.shape == ref.shape == pts.shape
+    assert np.array_equal(out, ref)
+    assert out.tobytes() == ref.tobytes()
+    assert not np.shares_memory(out, pts)
+    listed = pts.tolist()
+    assert model.drift(listed).tobytes() == ref.tobytes()
 
 
 def test_zero_drift_model():

@@ -58,6 +58,42 @@ def test_step_applies_scaled_noise():
     assert out == pytest.approx(0.1 * xi.standard_normal(2))
 
 
+def _read_only_negation(p):
+    out = -np.asarray(p)
+    out.flags.writeable = False
+    return out
+
+
+@pytest.mark.parametrize(
+    "drift", [lambda p: p, _read_only_negation], ids=["returns-input", "read-only"]
+)
+def test_step_never_writes_into_the_drift_output(drift):
+    # x_{k+1} = x_k + f(x_k) dt + eps sqrt(dt) xi_k, written out by hand; a
+    # drift that hands back its own input, or an array it does not let anyone
+    # write, must see exactly these states
+    seen = []
+
+    def spy(p):
+        seen.append(np.array(p))
+        return drift(p)
+
+    model = ModelSpec(name="aliased", dim=2, drift=spy, epsilon=0.5)
+    cfg = SamplerConfig(
+        n_samples=40, burn_in=10, n_chains=2, seed=3, initial=(0.4, -0.2), dt=0.01
+    )
+    hist = accumulate_histogram(model, Grid((-2.0, -2.0), (2.0, 2.0), (8, 8)), cfg)
+    rngs = [
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence((3, chain))))
+        for chain in range(2)
+    ]
+    noise = np.stack([rng.standard_normal((30, 2)) for rng in rngs])
+    states = np.array([[0.4, -0.2], [0.4, -0.2]])
+    for t in range(30):
+        assert np.array_equal(seen[t], states)
+        states = states + drift(states) * 0.01 + 0.5 * np.sqrt(0.01) * noise[:, t]
+    assert len(seen) == hist.steps == 30
+
+
 def test_step_flags_non_finite_states():
     blowup = ModelSpec(
         name="blowup", dim=2, drift=lambda p: np.full_like(p, np.nan), epsilon=0.01
@@ -358,6 +394,7 @@ def test_restart_histogram_is_chunk_invariant(monkeypatch):
     small = accumulate_histogram(runaway, grid, cfg)
     assert np.array_equal(base.counts, small.counts)
     assert base.restarts == small.restarts > 0
+    assert base.steps == small.steps > 20 + 1_000 // 2
 
 
 def test_restart_gives_up_when_every_attempt_escapes():
@@ -393,18 +430,21 @@ def test_restart_count_is_not_written_to_disk(tmp_path):
     grid = Grid((0.0, 0.0), (1.0, 1.0), (4, 4))
     counts = np.zeros(16, dtype=np.uint64)
     counts[3] = 7
-    hist = Histogram(grid=grid, counts=counts, total_retained=10, restarts=3)
+    hist = Histogram(
+        grid=grid, counts=counts, total_retained=10, restarts=3, steps=12
+    )
     path = tmp_path / "h.fphist"
     write_histogram(hist, path)
     back = read_histogram(path)
     assert np.array_equal(back.counts, hist.counts)
-    assert back.restarts == 0
+    assert (back.restarts, back.steps) == (0, 0)
 
 
 def test_histogram_rejects_negative_restarts():
     grid = Grid((0.0, 0.0), (1.0, 1.0), (2, 2))
-    with pytest.raises(ConfigurationError):
-        Histogram(
-            grid=grid, counts=np.zeros(4, dtype=np.uint64), total_retained=0,
-            restarts=-1,
-        )
+    for field in ("restarts", "steps"):
+        with pytest.raises(ConfigurationError):
+            Histogram(
+                grid=grid, counts=np.zeros(4, dtype=np.uint64), total_retained=0,
+                **{field: -1},
+            )
