@@ -23,7 +23,7 @@ from .grids import BlockPartition, DensityField, Grid
 from .leastnorm import SolveOptions
 from .models import ModelSpec
 from .operator import _SVD_COLS_CAP, InteriorOperator, _dense_rank
-from .repair import solve_overlapping, solve_shifting
+from .repair import solve_shifting
 from .sampler import SamplerConfig, accumulate_histogram, histogram_to_density
 
 
@@ -261,6 +261,8 @@ def convergence_study(
     bad = set(methods) - known
     if bad:
         raise ConfigurationError(f"unknown methods {sorted(bad)}; pick from {sorted(known)}")
+    if block_cells < 1:
+        raise ConfigurationError(f"block size must be positive, got {block_cells}")
     if solve_opts is None:
         solve_opts = SolveOptions()
     rows: list[dict] = []
@@ -271,13 +273,13 @@ def convergence_study(
                 f"mesh size {n_cells} is not a multiple of the block size {block_cells}"
             )
         grid = Grid(lo, hi, (n_cells,) * dim)
-        need_inflate = "overlap" in methods and iota > 0
-        sample_grid = grid.inflate(iota) if need_inflate else grid
+        # overlap solves read iota halo cells around the core; the others none
+        halo = iota if "overlap" in methods else 0
         n_samples = int(round(samples_per_cell * n_cells**dim))
         t0 = time.perf_counter()
         hist = accumulate_histogram(
             model,
-            sample_grid,
+            grid.inflate(halo),
             SamplerConfig(
                 n_samples=n_samples,
                 dt=dt,
@@ -288,11 +290,9 @@ def convergence_study(
         )
         sample_time = time.perf_counter() - t0
         v_sampled = histogram_to_density(hist)
-        if need_inflate:
-            core_ranges = tuple((iota, iota + m) for m in grid.n)
-            v = restrict(v_sampled, core_ranges)
-        else:
-            v = v_sampled
+        v = v_sampled
+        if halo:
+            v = restrict(v_sampled, tuple((halo, halo + m) for m in grid.n))
         exact_field = DensityField.from_function(grid, exact)
         blocks = tuple(n_cells // block_cells for _ in range(dim))
         cfg = BlockSolveConfig(
@@ -301,17 +301,13 @@ def convergence_study(
         for method in methods:
             if method == "mc":
                 fld, wall = v, sample_time
-            elif method == "plain":
-                t0 = time.perf_counter()
-                fld, _ = solve_blocks(model, v, cfg)
-                wall = time.perf_counter() - t0
-            elif method == "overlap":
-                t0 = time.perf_counter()
-                fld, _ = solve_overlapping(model, v_sampled, cfg, iota)
-                wall = time.perf_counter() - t0
             else:
                 t0 = time.perf_counter()
-                fld, _ = solve_shifting(model, v, cfg, schedule)
+                if method == "shift":
+                    fld, _ = solve_shifting(model, v, cfg, schedule)
+                else:
+                    lap = halo if method == "overlap" else 0
+                    fld, _ = solve_blocks(model, v_sampled if lap else v, cfg, lap)
                 wall = time.perf_counter() - t0
             rows.append(
                 {

@@ -2,9 +2,10 @@
 
 Each block gets its own grid that keeps the global physical coordinates, its
 own interior operator, and its own least-norm solve against the restriction
-of the reference. The per-block solutions are then collaged back into one
-field. Failure of any block fails the whole solve; there is no partial
-output to mistake for a converged field.
+of the reference. A block may be widened by a halo of iota cells per side,
+of which only the core cells are kept. The per-block solutions are then
+collaged back into one field. Failure of any block fails the whole solve;
+there is no partial output to mistake for a converged field.
 """
 
 from __future__ import annotations
@@ -67,23 +68,30 @@ def collage(grid: Grid, pieces) -> DensityField:
 
 
 def solve_blocks(
-    model: ModelSpec, v: DensityField, cfg: BlockSolveConfig
+    model: ModelSpec, v: DensityField, cfg: BlockSolveConfig, iota: int = 0
 ) -> tuple[DensityField, list[BlockReport]]:
-    """Independent least-norm solves on every core block, then collage.
+    """Least-norm solves on every block widened by iota cells, then collage.
 
-    Blocks are processed in enumeration order.
+    Blocks are processed in enumeration order. v lives on the partition's
+    grid inflated by iota cells per side; each block is solved on its core
+    range widened by iota cells, and only the core cells are kept. iota = 0
+    is the plain block solve; a negative iota raises ConfigurationError.
     """
-    if v.grid != cfg.partition.grid:
-        raise DimensionError("reference field does not live on the partitioned grid")
+    expected = cfg.partition.grid.inflate(iota)
+    if v.grid != expected:
+        raise DimensionError(
+            f"reference grid {v.grid.n} is not the partitioned grid inflated by "
+            f"iota={iota}, {expected.n}; sample with matching inflation"
+        )
     pieces = []
     reports = []
     for block in enumerate_blocks(cfg.partition):
-        local = restrict(v, block.core)
-        op = assemble(model, local.grid)
-        u_loc, rep = solve_least_norm(op, local, cfg.solve)
-        pieces.append((block.core, u_loc.values))
+        local = restrict(v, tuple((a, b + 2 * iota) for a, b in block.core))
+        u_loc, rep = solve_least_norm(assemble(model, local.grid), local, cfg.solve)
+        core = tuple(slice(iota, m - iota) for m in local.grid.n)
+        pieces.append((block.core, u_loc.reshaped()[core]))
         reports.append(BlockReport(index=block.index, cells=block.core, solve=rep))
-    return collage(v.grid, pieces), reports
+    return collage(cfg.partition.grid, pieces), reports
 
 
 def worst_residual(reports: list[BlockReport]) -> float:

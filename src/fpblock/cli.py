@@ -42,7 +42,7 @@ from .grids import BlockPartition, DensityField, Grid
 from .leastnorm import SolveOptions
 from .models import ModelSpec, model_by_name, ring_exact_density, zero_drift_model
 from .operator import assemble
-from .repair import solve_overlapping, solve_shifting
+from .repair import solve_shifting
 from .sampler import (
     SamplerConfig,
     accumulate_histogram,
@@ -98,8 +98,10 @@ def _model(cfg: RunConfig) -> ModelSpec:
 
 
 def _solve_options(cfg: RunConfig) -> SolveOptions:
-    max_iters = cfg.cg_max_iters if cfg.cg_max_iters > 0 else None
-    return SolveOptions(cg_rel_tol=cfg.cg_rel_tol, cg_max_iters=max_iters)
+    # a cap of 0 means automatic; SolveOptions rejects a negative one
+    return SolveOptions(
+        cg_rel_tol=cfg.cg_rel_tol, cg_max_iters=cfg.cg_max_iters or None
+    )
 
 
 def _infer_inflation(hist_grid: Grid, core: Grid) -> int:
@@ -163,32 +165,31 @@ def cmd_sample(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
     model = _model(cfg)
+    opts = _solve_options(cfg)  # checked before any input file is read
     hist = fileio.read_histogram(args.hist)
     core = _core_grid(cfg)
     inflation = _infer_inflation(hist.grid, core)
     # overlap solves need iota halo cells around the core; the others none
-    keep = cfg.iota if cfg.method == "overlap" else 0
-    if inflation < keep:
+    halo = cfg.iota if cfg.method == "overlap" else 0
+    if inflation < halo:
         raise ConfigurationError(
-            f"overlap iota={keep} needs a histogram sampled with "
-            f"--inflate {keep} or more, got {inflation}"
+            f"overlap iota={halo} needs a histogram sampled with "
+            f"--inflate {halo} or more, got {inflation}"
         )
     density = histogram_to_density(hist)
-    trim = inflation - keep
+    trim = inflation - halo
     if trim:
-        ranges = tuple((trim, trim + m) for m in core.inflate(keep).n)
+        ranges = tuple((trim, trim + m) for m in core.inflate(halo).n)
         density = restrict(density, ranges)
     partition = BlockPartition(grid=core, blocks=cfg.blocks)
-    solve_cfg = BlockSolveConfig(partition=partition, solve=_solve_options(cfg))
+    solve_cfg = BlockSolveConfig(partition=partition, solve=opts)
 
     t0 = time.perf_counter()
-    if cfg.method == "overlap":
-        fld, all_reports = solve_overlapping(model, density, solve_cfg, cfg.iota)
-    elif cfg.method == "plain":
-        fld, all_reports = solve_blocks(model, density, solve_cfg)
-    else:
+    if cfg.method == "shift":
         fld, rounds = solve_shifting(model, density, solve_cfg, cfg.schedule)
         all_reports = [rep for reps in rounds for rep in reps]
+    else:
+        fld, all_reports = solve_blocks(model, density, solve_cfg, halo)
     wall = time.perf_counter() - t0
     if cfg.renormalize:
         fld = fld.renormalized()
@@ -252,9 +253,10 @@ def cmd_errors(args) -> int:
     meta = {"command": "errors", "solution": str(args.solution),
             "reference": str(args.reference)}
     if args.reference == "exact":
-        if cfg.model != "ring":
+        if cfg.model != "ring" or fld.grid.dim != 2:
             raise ConfigurationError(
-                "reference 'exact' is only available for the ring model"
+                "reference 'exact' is only available for the ring model on a "
+                f"2-d grid, got {cfg.model} on a {fld.grid.dim}-d grid"
             )
         model = _model(cfg)
         ref = DensityField.from_function(fld.grid, ring_exact_density(model.epsilon))

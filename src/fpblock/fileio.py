@@ -16,6 +16,7 @@ leaves a truncated file that parses.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from pathlib import Path
@@ -74,6 +75,23 @@ def _grid_tokens(grid: Grid) -> str:
     )
 
 
+def _read_binary(path, magic: str, dtype: str) -> tuple[dict, Grid, np.ndarray]:
+    """Header fields, grid and payload of one fpgrid or fphist file."""
+    raw = Path(path).read_bytes()
+    nl = raw.find(b"\n")
+    if nl < 0:
+        raise FormatError(f"{path}: missing header line")
+    fields = _header_fields(raw[:nl].decode("ascii", "replace"), magic)
+    grid = _parse_grid(fields)
+    body = raw[nl + 1 :]
+    expected = grid.num_cells * 8
+    if len(body) != expected:
+        raise FormatError(
+            f"{path}: payload is {len(body)} bytes, grid needs {expected}"
+        )
+    return fields, grid, np.frombuffer(body, dtype=dtype)
+
+
 def write_field(fld: DensityField, path) -> None:
     header = f"fpgrid v1 {_grid_tokens(fld.grid)}\n"
     payload = header.encode("ascii") + fld.values.astype("<f8").tobytes()
@@ -81,19 +99,8 @@ def write_field(fld: DensityField, path) -> None:
 
 
 def read_field(path) -> DensityField:
-    raw = Path(path).read_bytes()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise FormatError(f"{path}: missing header line")
-    grid = _parse_grid(_header_fields(raw[:nl].decode("ascii", "replace"), "fpgrid"))
-    body = raw[nl + 1 :]
-    expected = grid.num_cells * 8
-    if len(body) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(body)} bytes, grid needs {expected}"
-        )
-    values = np.frombuffer(body, dtype="<f8").astype(float)
-    return DensityField(grid, values)
+    _, grid, values = _read_binary(path, "fpgrid", "<f8")
+    return DensityField(grid, values.astype(float))
 
 
 def write_histogram(hist: Histogram, path) -> None:
@@ -105,35 +112,20 @@ def write_histogram(hist: Histogram, path) -> None:
 
 
 def read_histogram(path) -> Histogram:
-    raw = Path(path).read_bytes()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise FormatError(f"{path}: missing header line")
-    fields = _header_fields(raw[:nl].decode("ascii", "replace"), "fphist")
-    grid = _parse_grid(fields)
+    fields, grid, counts = _read_binary(path, "fphist", "<u8")
     try:
         total = int(fields["total"])
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: missing or malformed total") from exc
-    body = raw[nl + 1 :]
-    expected = grid.num_cells * 8
-    if len(body) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(body)} bytes, grid needs {expected}"
-        )
-    counts = np.frombuffer(body, dtype="<u8").astype(np.uint64)
-    return Histogram(grid=grid, counts=counts, total_retained=total)
+    return Histogram(grid=grid, counts=counts.astype(np.uint64), total_retained=total)
 
 
 def write_rows_csv(rows: list[dict], fieldnames: list[str], path) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    os.replace(tmp, path)
+    text = io.StringIO(newline="")
+    writer = csv.DictWriter(text, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(rows)
+    _atomic_write_bytes(Path(path), text.getvalue().encode())
 
 
 def write_sidecar(out_path, metadata: dict) -> Path:

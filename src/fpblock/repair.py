@@ -19,9 +19,10 @@ from dataclasses import replace
 
 import numpy as np
 
+# assemble, solve_least_norm, restrict and collage stay for the benchmark tracer
 from .blocks import BlockReport, BlockSolveConfig, collage, restrict, solve_blocks
-from .errors import ConfigurationError, DimensionError
-from .grids import BlockPartition, DensityField, enumerate_blocks
+from .errors import DimensionError
+from .grids import BlockPartition, DensityField
 from .leastnorm import solve_least_norm
 from .models import ModelSpec
 from .operator import assemble
@@ -37,39 +38,11 @@ def solve_overlapping(
 ) -> tuple[DensityField, list[BlockReport]]:
     """Block solves on iota-extended ranges, keeping core cells only.
 
-    Args:
-        model: the sampled system.
-        v_extended: reference on the core grid inflated by iota cells per
-            side, so even boundary blocks can extend outward.
-        cfg: partition and solver options; the partition describes the core
-            grid, not the inflated one.
-        iota: extension width in cells, 0 reduces to the plain solver.
-
-    Returns:
-        The collaged field on the core grid and per-block reports.
+    v_extended lives on the partition's grid inflated by iota cells per side,
+    so even boundary blocks can extend outward; iota = 0 is the plain solver.
+    This is solve_blocks with a halo.
     """
-    if iota < 0:
-        raise ConfigurationError("overlap extension must be nonnegative")
-    core_grid = cfg.partition.grid
-    expected = core_grid.inflate(iota)
-    if v_extended.grid != expected:
-        raise DimensionError(
-            f"overlap iota={iota} needs the reference on the inflated grid "
-            f"{expected.n}; got {v_extended.grid.n} (sample with matching inflation)"
-        )
-    pieces = []
-    reports = []
-    for block in enumerate_blocks(cfg.partition):
-        ext_ranges = tuple((a, b + 2 * iota) for a, b in block.core)
-        local = restrict(v_extended, ext_ranges)
-        op = assemble(model, local.grid)
-        u_loc, rep = solve_least_norm(op, local, cfg.solve)
-        trimmed = u_loc.reshaped()[
-            tuple(slice(iota, m - iota) for m in local.grid.n)
-        ] if iota else u_loc.reshaped()
-        pieces.append((block.core, trimmed))
-        reports.append(BlockReport(index=block.index, cells=block.core, solve=rep))
-    return collage(core_grid, pieces), reports
+    return solve_blocks(model, v_extended, cfg, iota)
 
 
 def solve_shifting(
@@ -91,18 +64,12 @@ def solve_shifting(
     Returns:
         The final field and the reports of every round, round-major.
     """
-    for s in schedule:
-        if not 0.0 <= s < 1.0:
-            raise ConfigurationError(f"shift fractions must lie in [0, 1), got {s}")
+    base = cfg.partition
+    # built up front so that a bad fraction fails before any solve
+    shifted = [replace(base, shift=(s,) * base.grid.dim) for s in schedule]
     current, reports = solve_blocks(model, v, cfg)
     rounds = [reports]
-    base = cfg.partition
-    for s in schedule:
-        part = BlockPartition(
-            grid=base.grid,
-            blocks=base.blocks,
-            shift=(s,) * base.grid.dim,
-        )
+    for part in shifted:
         current, reports = solve_blocks(model, current, replace(cfg, partition=part))
         rounds.append(reports)
     return current, rounds

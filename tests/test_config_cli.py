@@ -7,15 +7,22 @@ import numpy as np
 import pytest
 
 from fpblock import (
+    BlockPartition,
+    BlockSolveConfig,
     ConfigurationError,
+    DensityField,
     Grid,
     RunConfig,
     apply_overrides,
+    histogram_to_density,
     parse_config,
     read_field,
     read_histogram,
+    restrict,
     ring_model,
     serialize_config,
+    solve_blocks,
+    solve_overlapping,
     write_field,
 )
 from fpblock.cli import main
@@ -207,6 +214,37 @@ def test_cli_solve_shift_and_overlap_paths(tmp_path):
     assert read_field(shift_path).grid.n == (32, 32)
 
 
+def test_cli_plain_and_overlap_match_the_library_solvers(tmp_path):
+    cfg = _write_tiny_config(tmp_path / "run.cfg", **{"sampler.inflate": "1"})
+    hist_path = tmp_path / "ring.fphist"
+    assert main(["sample", "--config", str(cfg), "--out", str(hist_path)]) == 0
+    v_ext = histogram_to_density(read_histogram(hist_path))
+    core = Grid((-2.0, -2.0), (2.0, 2.0), (32, 32))
+    solve_cfg = BlockSolveConfig(partition=BlockPartition(core, (2, 2)))
+    v_core = restrict(v_ext, ((1, 33),) * 2)
+    expected = {
+        "overlap": solve_overlapping(ring_model(), v_ext, solve_cfg, 1)[0],
+        "plain": solve_blocks(ring_model(), v_core, solve_cfg)[0],
+    }
+    for method, fld in expected.items():
+        cli_path = tmp_path / f"{method}.fpgrid"
+        lib_path = tmp_path / f"{method}-lib.fpgrid"
+        assert main(["solve", "--config", str(cfg), "--hist", str(hist_path),
+                     "--method", method, "--out", str(cli_path)]) == 0
+        write_field(fld, lib_path)
+        assert cli_path.read_bytes() == lib_path.read_bytes(), method
+
+
+def test_cli_exact_reference_needs_a_2d_solution(tmp_path, capsys):
+    g = Grid((-2.0,) * 3, (2.0,) * 3, (5, 5, 5))
+    sol = tmp_path / "u3.fpgrid"
+    write_field(DensityField(g, np.full(125, 1.0 / 64.0)), sol)
+    code = main(["errors", "--solution", str(sol), "--reference", "exact"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "2-d" in err
+
+
 def test_cli_rossler_runs_under_the_restart_policy(tmp_path, capsys):
     # noise kicks chain 1 of seed 5 over the basin rim, and out of the
     # default safety box, at step 4323
@@ -369,8 +407,13 @@ def test_cli_solve_of_an_empty_sample_says_no_state_was_retained(tmp_path, capsy
          "--schedule", "abc"],
         ["analyze", "angles", "--n", "8", "--thickness", "a"],
         ["convergence", "--mesh", "6a", "--out", "{tmp}/c.csv"],
+        ["convergence", "--block-cells", "0", "--out", "{tmp}/c.csv"],
+        ["convergence", "--block-cells", "-32", "--out", "{tmp}/c.csv"],
+        ["solve", "--hist", "{tmp}/h.fphist", "--out", "{tmp}/u.fpgrid",
+         "--set", "solver.cg_max_iters=-5"],
     ],
-    ids=["schedule-1/0", "schedule-abc", "thickness-a", "mesh-6a"],
+    ids=["schedule-1/0", "schedule-abc", "thickness-a", "mesh-6a",
+         "block-cells-0", "block-cells-negative", "cg-max-iters-negative"],
 )
 def test_cli_malformed_flag_values_exit_2(tmp_path, capsys, argv):
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2

@@ -39,12 +39,15 @@ def test_overlap_zero_reduces_to_plain_blocks():
     assert np.array_equal(plain.values, lapped.values)
 
 
-def test_overlap_requires_matching_inflated_reference():
+@pytest.mark.parametrize(
+    "solve", [solve_overlapping, solve_blocks], ids=["solve_overlapping", "solve_blocks"]
+)
+def test_overlap_requires_matching_inflated_reference(solve):
     g = Grid((-2.0, -2.0), (2.0, 2.0), (32, 32))
     cfg = BlockSolveConfig(partition=BlockPartition(g, (2, 2)))
     v_wrong = _noisy_ring_reference(g)  # not inflated
     with pytest.raises(DimensionError) as err:
-        solve_overlapping(ring_model(), v_wrong, cfg, iota=1)
+        solve(ring_model(), v_wrong, cfg, iota=1)
     assert "inflat" in str(err.value).lower()
 
 
