@@ -378,11 +378,21 @@ def cmd_convergence(args) -> int:
         {
             "command": "convergence",
             "model": model.name,
+            "epsilon": model.epsilon,
+            "grid_lo": list(cfg.grid_lo),
+            "grid_hi": list(cfg.grid_hi),
             "mesh_sizes": list(mesh_sizes),
             "methods": list(methods),
             "samples_per_cell": args.samples_per_cell,
             "block_cells": args.block_cells,
+            "iota": cfg.iota if "overlap" in methods else None,
+            "schedule": list(cfg.schedule) if "shift" in methods else None,
+            "dt": cfg.dt,
+            "burn_in": cfg.burn_in,
+            "chains": cfg.chains,
             "seed": cfg.seed,
+            "cg_rel_tol": cfg.cg_rel_tol,
+            "cg_max_iters": cfg.cg_max_iters,
         },
     )
     for row in rows:

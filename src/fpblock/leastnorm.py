@@ -4,17 +4,19 @@ Given the interior operator A and a reference v, the solve returns the
 minimizer of ||u - v||_2 subject to A u = 0. Writing u = A^T y + v, the
 multiplier solves the normal system (A A^T) y = -A v, which is symmetric
 positive definite whenever A has full row rank. Small 1-D and 2-D systems,
-such as the blocks of a decomposed plane, are factored by sparse LU and
-solved once; large and 3-D ones are attacked with preconditioned conjugate
-gradients. On a large 1-D or 2-D system, such as a whole 128^2 grid, the
-preconditioner is a smoothed-aggregation multigrid V-cycle: A A^T is a
-fourth-order operator, on which the iterations of diagonal scaling alone
-roughly quadruple with each mesh doubling. A 3-D system is preconditioned
-by the diagonal of A A^T (Jacobi), which follows |f|^2 where advection
-outweighs diffusion; on the eight 16^3 blocks of a sampled 32^3 Rossler
-grid a V-cycle halves the iterations (1,595 to 823) but takes about six
-times as long. The correction A^T y is orthogonal to Ker(A), so the result
-equals v plus the kernel-orthogonal move of minimal length.
+such as the blocks of a decomposed plane, are stored as a band, with the
+longer interior axis outermost so that the band is two narrow sides wide,
+factored by banded Cholesky (LAPACK pbtrf) and solved once; large and 3-D
+ones are attacked with preconditioned conjugate gradients. On a large 1-D or
+2-D system, such as a whole 128^2 grid, the preconditioner is a
+smoothed-aggregation multigrid V-cycle: A A^T is a fourth-order operator, on
+which the iterations of diagonal scaling alone roughly quadruple with each
+mesh doubling. A 3-D system is preconditioned by the diagonal of A A^T
+(Jacobi), which follows |f|^2 where advection outweighs diffusion; on the
+eight 16^3 blocks of a sampled 32^3 Rossler grid a V-cycle halves the
+iterations (1,595 to 823) but takes about six times as long. The
+correction A^T y is orthogonal to Ker(A), so the result equals v plus the
+kernel-orthogonal move of minimal length.
 """
 
 from __future__ import annotations
@@ -24,8 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.sparse.linalg import splu
+from scipy.linalg import (
+    LinAlgError,
+    cho_factor,
+    cho_solve,
+    cho_solve_banded,
+    cholesky_banded,
+)
 
 from .errors import (
     ConfigurationError,
@@ -36,15 +43,14 @@ from .errors import (
 from .grids import DensityField
 from .operator import InteriorOperator
 
-# Largest 1-D or 2-D system factored directly, in rows times the narrowest
-# lexicographic bandwidth of A A^T, 2 prod(n_k-2) over all but the longest
-# axis. On 2-D blocks the estimate tracks SuperLU's fill within a factor of
-# about 0.3 to 1.2, so the cap keeps each factor near 1.5 MB: 32^2 and 34^2
-# blocks go direct (54 k and 65 k), while a 128^2 whole grid (4 M), whose
-# factor would cost tens of MB, stays on CG. 3-D systems always stay on CG:
-# a 16^3 rossler block factors in about 100 ms, where Jacobi-preconditioned
-# CG takes 5 to 40 ms, and on thin 3-D blocks the estimate does not track
-# the factorization's cost.
+# Largest 1-D or 2-D system factored directly, in rows times the bandwidth of
+# A A^T with the longest interior axis outermost, 2 prod(n_k-2) over all the
+# other axes. The band factor holds rows times (bandwidth + 1) doubles, so the
+# cap bounds it at 1 MB plus one double per row: 32^2 and 34^2 blocks go
+# direct (54 k and 65 k, 440 KB and 530 KB), while a 128^2 whole grid (4 M,
+# 32 MB) stays on CG. 3-D systems always stay on CG: their band is two planes
+# wide, and over the 70 solves of a seed-0 rossler-3d-32 shift solve the band
+# path took 0.72 s against 0.49 s for Jacobi-preconditioned CG.
 _DIRECT_SIZE_CAP = 2**17
 # Multigrid aggregates are blocks of 3^d cells. A A^T couples cells up to two
 # apart along an axis, and with blocks of 3 the Galerkin operator of every
@@ -88,8 +94,9 @@ class SolveOptions:
 class SolveReport:
     """What the solve did and how well the constraint came out.
 
-    A direct solve reports 0 iterations and the nonzeros of its L and U
-    factors; a CG solve reports its iterations and factor_nnz 0.
+    A direct solve reports 0 iterations and, as factor_nnz, the entries of
+    its stored band factor, rows times (bandwidth + 1); a CG solve reports
+    its iterations and factor_nnz 0.
     """
 
     iterations: int
@@ -106,26 +113,42 @@ def _tolerances(b: np.ndarray, rel_tol: float) -> tuple[float, float]:
 
 
 def _direct_size(op: InteriorOperator) -> int:
-    """Rows times the narrowest lexicographic bandwidth of A A^T, known before
-    factoring and the same for every order of the axes."""
+    """Rows times the bandwidth of A A^T with the longest interior axis
+    outermost, known before factoring: the size of _direct's band factor
+    less its diagonal."""
     return op.matrix.shape[0] * 2 * int(np.prod(sorted(op.interior_shape)[:-1]))
 
 
-def _direct(mat, b: np.ndarray, rel_tol: float):
-    """Sparse LU of an SPD matrix and one solve, checked like a CG result."""
+def _direct(mat, b: np.ndarray, rel_tol: float, shape: tuple[int, ...] | None = None):
+    """Banded Cholesky of an SPD matrix and one solve, checked like a CG result.
+
+    The lower triangle of mat is stored as a (bandwidth + 1, rows) band. On a
+    2-D grid shape whose last, fast axis is the longer, the rows are first
+    taken in transposed order, so the band is two narrow sides wide, and the
+    solution is put back in the original order.
+    """
+    order = np.arange(b.size)
+    if shape is not None and len(shape) == 2 and shape[1] > shape[0]:
+        order = order.reshape(shape).T.ravel()
+    where = np.argsort(order)
+    coo = mat.tocoo()
+    row, col = where[coo.row], where[coo.col]
+    lower = row >= col
+    offset = row[lower] - col[lower]
+    band = np.zeros((int(offset.max(initial=0)) + 1, b.size))
+    band[offset, col[lower]] = coo.data[lower]
+    # The lower form, because it is the fast one with 2 BLAS threads: on a 32^2
+    # ring block (900 rows, bandwidth 60) of a 2-vCPU host, dpbtrf took about
+    # 1.1 ms in lower form against 3.0 to 4.3 ms in upper form (SuperLU: 3.1 to
+    # 5.7 ms); with 1 thread both forms took about 1.05 ms.
     try:
-        lu = splu(
-            mat.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:
+        factor = cholesky_banded(band, overwrite_ab=True, lower=True)
+    except LinAlgError as exc:
         raise RankDeficiencyError(
-            f"sparse factorization of the normal system failed ({exc}): the "
+            f"banded Cholesky of the normal system failed ({exc}): the "
             "operator appears rank deficient"
         ) from exc
-    x = lu.solve(b)
+    x = cho_solve_banded((factor, True), b[order])[where]
     r = b - mat @ x
     norm_tol, inf_tol = _tolerances(b, rel_tol)
     if not (np.linalg.norm(r) <= norm_tol and np.max(np.abs(r)) <= inf_tol):
@@ -133,7 +156,7 @@ def _direct(mat, b: np.ndarray, rel_tol: float):
             "the factored normal system misses its residual tolerance: the "
             "operator appears rank deficient"
         )
-    return x, lu.L.nnz + lu.U.nnz
+    return x, factor.size
 
 
 def _gershgorin(mat, dinv: np.ndarray) -> float:
@@ -369,8 +392,9 @@ def solve_least_norm(
 
     Returns:
         The corrected field and a report with the CG iteration count or the
-        factor's nonzeros, the worst constraint residual max|A u|, the moved
-        distance ||u - v||_2, the most negative value of u, and wall time.
+        band factor's stored entries, the worst constraint residual max|A u|,
+        the moved distance ||u - v||_2, the most negative value of u, and wall
+        time.
     """
     if opts is None:
         opts = SolveOptions()
@@ -384,7 +408,7 @@ def solve_least_norm(
     if not b.any():
         y = np.zeros_like(b)
     elif op.grid.dim <= 2 and _direct_size(op) <= _DIRECT_SIZE_CAP:
-        y, factor_nnz = _direct(normal, b, opts.cg_rel_tol)
+        y, factor_nnz = _direct(normal, b, opts.cg_rel_tol, op.interior_shape)
     else:
         max_iters = opts.cg_max_iters
         if max_iters is None:

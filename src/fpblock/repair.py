@@ -22,7 +22,7 @@ import numpy as np
 # assemble, solve_least_norm, restrict and collage stay for the benchmark tracer
 from .blocks import BlockReport, BlockSolveConfig, collage, restrict, solve_blocks
 from .errors import DimensionError
-from .grids import BlockPartition, DensityField
+from .grids import BlockPartition, DensityField, enumerate_blocks
 from .leastnorm import solve_least_norm
 from .models import ModelSpec
 from .operator import assemble
@@ -65,8 +65,11 @@ def solve_shifting(
         The final field and the reports of every round, round-major.
     """
     base = cfg.partition
-    # built up front so that a bad fraction fails before any solve
+    # built and enumerated up front, so that a fraction out of range or one
+    # that leaves an edge block too narrow fails before any solve
     shifted = [replace(base, shift=(s,) * base.grid.dim) for s in schedule]
+    for part in shifted:
+        enumerate_blocks(part)
     current, reports = solve_blocks(model, v, cfg)
     rounds = [reports]
     for part in shifted:

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import fpblock.blocks
 from fpblock import (
     BlockPartition,
     BlockSolveConfig,
@@ -212,6 +213,27 @@ def test_cli_solve_shift_and_overlap_paths(tmp_path):
     )
     assert code == 0
     assert read_field(shift_path).grid.n == (32, 32)
+
+
+def test_cli_too_fine_shift_exits_2_before_any_solve(tmp_path, capsys, monkeypatch):
+    cfg = _write_tiny_config(tmp_path / "run.cfg", **{"grid.n": "20,20"})
+    hist_path = tmp_path / "ring.fphist"
+    assert main(["sample", "--config", str(cfg), "--out", str(hist_path)]) == 0
+    calls = []
+    solve = fpblock.blocks.solve_least_norm
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fpblock.blocks, "solve_least_norm", counting_solve)
+    out = tmp_path / "shift.fpgrid"
+    code = main(["solve", "--config", str(cfg), "--hist", str(hist_path),
+                 "--method", "shift", "--blocks", "4,4", "--out", str(out)])
+    assert code == 2
+    assert "2 cells wide" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
 
 
 def test_cli_plain_and_overlap_match_the_library_solvers(tmp_path):
@@ -484,6 +506,29 @@ def test_cli_convergence_smoke(tmp_path, capsys):
     assert all(float(r["l2"]) > 0 for r in rows)
     meta = json.loads((tmp_path / "conv.csv.meta.json").read_text())
     assert meta["command"] == "convergence"
+
+
+def test_cli_convergence_sidecar_tells_iota_apart(tmp_path, capsys):
+    cfg = _write_tiny_config(tmp_path / "run.cfg")
+    metas = []
+    for iota in (1, 2):
+        out = tmp_path / f"conv{iota}.csv"
+        code = main(
+            ["convergence", "--config", str(cfg), "--mesh", "32",
+             "--methods", "mc,overlap", "--samples-per-cell", "20",
+             "--block-cells", "16", "--set", f"solver.iota={iota}",
+             "--out", str(out)]
+        )
+        assert code == 0
+        metas.append(json.loads((tmp_path / f"conv{iota}.csv.meta.json").read_text()))
+    assert metas[0] != metas[1]
+    assert [m["iota"] for m in metas] == [1, 2]
+    for key in ("epsilon", "grid_lo", "grid_hi", "schedule", "dt", "burn_in",
+                "chains", "cg_rel_tol", "cg_max_iters"):
+        assert metas[0][key] == metas[1][key], key
+    assert metas[0]["grid_lo"] == [-2.0, -2.0]
+    assert metas[0]["burn_in"] == 2000
+    assert metas[0]["chains"] == 4
 
 
 def test_console_script_is_installed():

@@ -24,7 +24,7 @@ from fpblock import (
     synthetic_reference,
     zero_drift_model,
 )
-from fpblock.leastnorm import _cg, _vcycle
+from fpblock.leastnorm import _cg, _direct, _vcycle
 
 
 def _toy_operator():
@@ -114,7 +114,9 @@ def _ring_block(shape):
     return restrict(v, ((16, 16 + shape[0]), (16, 16 + shape[1])))
 
 
-# a thin block is routed by its narrow side, whichever axis that is
+# a thin block is routed by its narrow side, whichever axis that is, and its
+# longer axis goes outermost, so the band of A A^T is twice the narrow
+# interior side wide
 @pytest.mark.parametrize(
     "shape", [(32, 32), (34, 34), (100, 12), (12, 100)], ids=lambda s: "x".join(map(str, s))
 )
@@ -123,7 +125,7 @@ def test_small_block_is_solved_directly_and_agrees_with_cg(shape):
     op = assemble(ring_model(), local.grid)
     u, report = solve_least_norm(op, local)
     assert report.iterations == 0
-    assert report.factor_nnz > 0
+    assert report.factor_nnz == op.matrix.shape[0] * (2 * (min(shape) - 2) + 1)
     b = -(op.matrix @ local.values)
     y, iters, _ = _cg(op.normal_matrix(), b, rel_tol=1e-10, max_iters=10_000)
     assert iters > 0
@@ -191,6 +193,14 @@ def test_direct_solve_of_singular_system_raises_rank_deficiency():
     op = InteriorOperator(grid=grid, model=zero_drift_model(1), matrix=matrix)
     with pytest.raises(RankDeficiencyError):
         solve_least_norm(op, DensityField(grid, np.array([1.0, 0.0, 0.0])))
+
+
+def test_direct_solve_of_indefinite_matrix_raises_rank_deficiency():
+    # symmetric with a positive diagonal, but not positive definite: LAPACK's
+    # LinAlgError must come out as the package's RankDeficiencyError
+    mat = scipy.sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(RankDeficiencyError, match="banded Cholesky"):
+        _direct(mat, np.array([1.0, -1.0]), rel_tol=1e-10)
 
 
 def test_badly_scaled_3d_block_converges_fast_and_agrees_with_lu():

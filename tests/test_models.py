@@ -97,10 +97,13 @@ def test_ring_density_integrates_to_one():
 
 def test_import_needs_no_quadrature_or_optimizer():
     # K is closed form, so importing the package and its CLI pulls in
-    # neither scipy.integrate nor the scipy.optimize it drags along
+    # neither scipy.integrate nor the scipy.optimize it drags along; block
+    # systems are factored by scipy.linalg's banded Cholesky, so neither
+    # does it pull in scipy.sparse.linalg
     code = (
         "import sys, fpblock, fpblock.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+        "print([m for m in ('scipy.integrate', 'scipy.optimize', "
+        "'scipy.sparse.linalg') if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fpblock.blocks
 from fpblock import (
     DEFAULT_SHIFT_SCHEDULE,
     BlockPartition,
@@ -120,6 +121,25 @@ def test_shift_fractions_validated():
     cfg = BlockSolveConfig(partition=BlockPartition(g, (2, 2)))
     with pytest.raises(ConfigurationError):
         solve_shifting(zero_drift_model(2), v, cfg, schedule=(1.2,))
+
+
+def test_too_fine_shift_fails_before_any_solve(monkeypatch):
+    # 5-cell blocks: the 1/3 shift moves the cuts by 2 cells and leaves a
+    # 2-cell edge block, which must be caught before the plain round runs
+    calls = []
+    solve = fpblock.blocks.solve_least_norm
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fpblock.blocks, "solve_least_norm", counting_solve)
+    g = Grid((-2.0, -2.0), (2.0, 2.0), (20, 20))
+    v = _noisy_ring_reference(g)
+    cfg = BlockSolveConfig(partition=BlockPartition(g, (4, 4)))
+    with pytest.raises(ConfigurationError, match="2 cells wide"):
+        solve_shifting(ring_model(), v, cfg)
+    assert calls == []
 
 
 def test_shifting_beats_plain_blocks_on_noisy_reference():
