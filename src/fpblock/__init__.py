@@ -12,6 +12,7 @@ from .analysis import (
     discrete_h1_error,
     discrete_l2_error,
     kernel_basis_numeric,
+    kernel_dimension,
     laplacian_kernel_basis,
     loglog_slope,
     principal_angles,
@@ -69,14 +70,11 @@ from .models import (
     rossler_model,
     zero_drift_model,
 )
-from .operator import (
-    InteriorOperator,
-    assemble,
-    kernel_dimension,
-)
+from .operator import InteriorOperator, assemble
 from .repair import (
     DEFAULT_SHIFT_SCHEDULE,
     interface_jump,
+    solve_method,
     solve_overlapping,
     solve_shifting,
 )

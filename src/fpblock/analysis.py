@@ -17,14 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import svdvals
 
-from .blocks import BlockSolveConfig, restrict, solve_blocks
-from .errors import ConfigurationError, DimensionError, UndefinedRatioError
+from .blocks import BlockSolveConfig, restrict
+from .errors import ConfigurationError, DimensionError, SizeError, UndefinedRatioError
 from .grids import BlockPartition, DensityField, Grid
 from .leastnorm import SolveOptions
 from .models import ModelSpec
-from .operator import _SVD_COLS_CAP, InteriorOperator, _dense_rank
-from .repair import solve_shifting
+from .operator import InteriorOperator
+from .repair import DEFAULT_SHIFT_SCHEDULE, METHODS, method_halo, solve_method
 from .sampler import SamplerConfig, accumulate_histogram, histogram_to_density
+
+_SVD_COLS_CAP = 4096
+_RANK_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,35 @@ def qr_diagonals(basis: KernelBasis) -> np.ndarray:
     """
     r = np.linalg.qr(basis.vectors, mode="r")
     return np.abs(np.diag(r))
+
+
+def _dense_rank(
+    op: InteriorOperator, cols_cap: int, vectors: bool = False
+) -> tuple[int, np.ndarray | None]:
+    """Numerical rank of A from a dense SVD, with V^T when vectors is set.
+
+    The rank counts singular values above 1e-10 times the largest one, so
+    columns beyond min(rows, cols) count as exact zeros. Guarded by a column
+    cap because the SVD is cubic in the grid size.
+    """
+    n_cols = op.matrix.shape[1]
+    if n_cols > cols_cap:
+        raise SizeError(
+            f"dense SVD of {n_cols} columns exceeds the cap {cols_cap}; "
+            "use the analysis module's closed-form basis for large grids"
+        )
+    dense = op.matrix.toarray()
+    if vectors:
+        _, s, vh = np.linalg.svd(dense, full_matrices=True)
+    else:
+        s, vh = svdvals(dense), None
+    rank = int(np.sum(s > _RANK_RTOL * s[0])) if s.size else 0
+    return rank, vh
+
+
+def kernel_dimension(op: InteriorOperator, cols_cap: int = _SVD_COLS_CAP) -> int:
+    """Numerical nullity of the operator: columns minus the dense SVD rank."""
+    return op.matrix.shape[1] - _dense_rank(op, cols_cap)[0]
 
 
 def kernel_basis_numeric(
@@ -236,11 +268,11 @@ def convergence_study(
     hi: tuple[float, ...],
     mesh_sizes: tuple[int, ...],
     *,
-    methods: tuple[str, ...] = ("mc", "plain", "overlap", "shift"),
+    methods: tuple[str, ...] = ("mc", *METHODS),
     samples_per_cell: float = 390.625,
     block_cells: int = 32,
     iota: int = 1,
-    schedule: tuple[float, ...] = (1.0 / 3.0, 2.0 / 3.0, 0.0),
+    schedule: tuple[float, ...] = DEFAULT_SHIFT_SCHEDULE,
     dt: float = 0.002,
     burn_in: int = 100_000,
     n_chains: int = 16,
@@ -252,12 +284,12 @@ def convergence_study(
     For each mesh size N the model is sampled once on the iota-inflated
     grid with round(samples_per_cell * N^d) retained states, and every
     requested method is evaluated against the exact density: "mc" is the
-    raw histogram, "plain" the block collage, "overlap" the discard-rim
-    variant, "shift" the full shift schedule. Blocks are block_cells wide,
+    raw histogram on the core grid, and every other name is one of the
+    methods of repair.solve_method. Blocks are block_cells wide,
     so the block count grows with N. Returns one row per (N, method) with
     keys n, method, samples, l2, h1, wall_time.
     """
-    known = {"mc", "plain", "overlap", "shift"}
+    known = {"mc", *METHODS}
     bad = set(methods) - known
     if bad:
         raise ConfigurationError(f"unknown methods {sorted(bad)}; pick from {sorted(known)}")
@@ -265,6 +297,7 @@ def convergence_study(
         raise ConfigurationError(f"block size must be positive, got {block_cells}")
     if solve_opts is None:
         solve_opts = SolveOptions()
+    halo = method_halo(methods, iota)
     rows: list[dict] = []
     dim = model.dim
     for n_cells in mesh_sizes:
@@ -273,8 +306,6 @@ def convergence_study(
                 f"mesh size {n_cells} is not a multiple of the block size {block_cells}"
             )
         grid = Grid(lo, hi, (n_cells,) * dim)
-        # overlap solves read iota halo cells around the core; the others none
-        halo = iota if "overlap" in methods else 0
         n_samples = int(round(samples_per_cell * n_cells**dim))
         t0 = time.perf_counter()
         hist = accumulate_histogram(
@@ -289,10 +320,7 @@ def convergence_study(
             ),
         )
         sample_time = time.perf_counter() - t0
-        v_sampled = histogram_to_density(hist)
-        v = v_sampled
-        if halo:
-            v = restrict(v_sampled, tuple((halo, halo + m) for m in grid.n))
+        v = histogram_to_density(hist)
         exact_field = DensityField.from_function(grid, exact)
         blocks = tuple(n_cells // block_cells for _ in range(dim))
         cfg = BlockSolveConfig(
@@ -300,14 +328,11 @@ def convergence_study(
         )
         for method in methods:
             if method == "mc":
-                fld, wall = v, sample_time
+                fld = restrict(v, tuple((halo, halo + m) for m in grid.n))
+                wall = sample_time
             else:
                 t0 = time.perf_counter()
-                if method == "shift":
-                    fld, _ = solve_shifting(model, v, cfg, schedule)
-                else:
-                    lap = halo if method == "overlap" else 0
-                    fld, _ = solve_blocks(model, v_sampled if lap else v, cfg, lap)
+                fld, _ = solve_method(model, v, cfg, method, iota, schedule)
                 wall = time.perf_counter() - t0
             rows.append(
                 {

@@ -25,7 +25,7 @@ from .analysis import (
     principal_angles,
     qr_diagonals,
 )
-from .blocks import BlockSolveConfig, restrict, solve_blocks, worst_residual
+from .blocks import BlockSolveConfig, worst_residual
 from .config import RunConfig, _parse_ints, apply_overrides, parse_config
 from .errors import (
     ConfigurationError,
@@ -42,7 +42,8 @@ from .grids import BlockPartition, DensityField, Grid
 from .leastnorm import SolveOptions
 from .models import ModelSpec, model_by_name, ring_exact_density, zero_drift_model
 from .operator import assemble
-from .repair import solve_shifting
+# solve_shifting is kept for the benchmark tracer
+from .repair import METHODS, method_settings, solve_method, solve_shifting
 from .sampler import (
     SamplerConfig,
     accumulate_histogram,
@@ -104,17 +105,6 @@ def _solve_options(cfg: RunConfig) -> SolveOptions:
     )
 
 
-def _infer_inflation(hist_grid: Grid, core: Grid) -> int:
-    """How many cells per side the histogram grid extends past the core."""
-    iota = max((hist_grid.n[0] - core.n[0]) // 2, 0)
-    if core.inflate(iota) != hist_grid:
-        raise ConfigurationError(
-            f"histogram grid {hist_grid.n} on {hist_grid.lo}..{hist_grid.hi} is "
-            f"not the configured grid {core.n} inflated by whole cells"
-        )
-    return iota
-
-
 def cmd_sample(args) -> int:
     cfg = _load_config(args)
     model = _model(cfg)
@@ -166,31 +156,17 @@ def cmd_solve(args) -> int:
     cfg = _load_config(args)
     model = _model(cfg)
     opts = _solve_options(cfg)  # checked before any input file is read
-    hist = fileio.read_histogram(args.hist)
+    density = histogram_to_density(fileio.read_histogram(args.hist))
     core = _core_grid(cfg)
-    inflation = _infer_inflation(hist.grid, core)
-    # overlap solves need iota halo cells around the core; the others none
-    halo = cfg.iota if cfg.method == "overlap" else 0
-    if inflation < halo:
-        raise ConfigurationError(
-            f"overlap iota={halo} needs a histogram sampled with "
-            f"--inflate {halo} or more, got {inflation}"
-        )
-    density = histogram_to_density(hist)
-    trim = inflation - halo
-    if trim:
-        ranges = tuple((trim, trim + m) for m in core.inflate(halo).n)
-        density = restrict(density, ranges)
     partition = BlockPartition(grid=core, blocks=cfg.blocks)
     solve_cfg = BlockSolveConfig(partition=partition, solve=opts)
 
     t0 = time.perf_counter()
-    if cfg.method == "shift":
-        fld, rounds = solve_shifting(model, density, solve_cfg, cfg.schedule)
-        all_reports = [rep for reps in rounds for rep in reps]
-    else:
-        fld, all_reports = solve_blocks(model, density, solve_cfg, halo)
+    fld, rounds = solve_method(
+        model, density, solve_cfg, cfg.method, cfg.iota, cfg.schedule
+    )
     wall = time.perf_counter() - t0
+    all_reports = [rep for reps in rounds for rep in reps]
     if cfg.renormalize:
         fld = fld.renormalized()
 
@@ -206,8 +182,7 @@ def cmd_solve(args) -> int:
             "grid_hi": list(core.hi),
             "method": cfg.method,
             "blocks": list(cfg.blocks),
-            "iota": cfg.iota if cfg.method == "overlap" else None,
-            "schedule": list(cfg.schedule) if cfg.method == "shift" else None,
+            **method_settings((cfg.method,), cfg.iota, cfg.schedule),
             "cg_rel_tol": cfg.cg_rel_tol,
             "cg_max_iters": cfg.cg_max_iters,
             "renormalized": cfg.renormalize,
@@ -385,8 +360,7 @@ def cmd_convergence(args) -> int:
             "methods": list(methods),
             "samples_per_cell": args.samples_per_cell,
             "block_cells": args.block_cells,
-            "iota": cfg.iota if "overlap" in methods else None,
-            "schedule": list(cfg.schedule) if "shift" in methods else None,
+            **method_settings(methods, cfg.iota, cfg.schedule),
             "dt": cfg.dt,
             "burn_in": cfg.burn_in,
             "chains": cfg.chains,
@@ -429,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="project a histogram onto the kernel blockwise")
     common(p)
     p.add_argument("--hist", required=True, help="input .fphist path")
-    p.add_argument("--method", choices=["plain", "overlap", "shift"])
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--blocks", metavar="KxL[xM]",
                    type=lambda text: text.replace("x", ","))
     p.add_argument("--iota", help="overlap extension")
@@ -462,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convergence", help="errors across mesh refinements")
     common(p)
     p.add_argument("--mesh", default="64,128,256", help="comma list of sizes")
-    p.add_argument("--methods", default="mc,plain,overlap,shift")
+    p.add_argument("--methods", default=",".join(("mc", *METHODS)))
     p.add_argument("--samples-per-cell", type=float, default=390.625)
     p.add_argument("--block-cells", type=int, default=32)
     p.add_argument("--out", required=True, help="output CSV path")

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigurationError
+from .repair import METHODS
 from .sampler import ESCAPE_POLICIES
-
-METHODS = ("plain", "overlap", "shift")
 
 
 @dataclass(frozen=True)

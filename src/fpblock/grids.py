@@ -1,7 +1,8 @@
 """Uniform Cartesian grids, density fields on them, and block partitions.
 
-Cells carry 1-based multi-indices (i_1, ..., i_d) and flatten row-major with
-the last index fastest; every array in the package follows that order.
+Cells carry 0-based multi-indices, one entry per dimension, and flatten
+row-major with the last index fastest; every array in the package follows
+that order.
 """
 
 from __future__ import annotations
@@ -94,35 +95,6 @@ class Grid:
     def cell_volume(self) -> float:
         return self.h ** self.dim
 
-    def cell_center(self, idx: tuple[int, ...]) -> tuple[float, ...]:
-        """Center of the cell with 1-based multi-index idx."""
-        if len(idx) != self.dim:
-            raise DimensionError(f"index {idx} has wrong length for a {self.dim}-d grid")
-        if any(not 1 <= i <= m for i, m in zip(idx, self.n)):
-            raise ConfigurationError(f"index {idx} outside grid of shape {self.n}")
-        h = self.h
-        return tuple(a + (i - 0.5) * h for a, i in zip(self.lo, idx))
-
-    def locate_cell(self, point) -> tuple[int, ...] | None:
-        """1-based multi-index of the cell containing point, or None.
-
-        Bins are half-open on the right except the last cell per dimension,
-        which is closed so points exactly on hi are still counted.
-        """
-        p = np.asarray(point, dtype=float)
-        if p.shape != (self.dim,):
-            raise DimensionError(f"point of shape {p.shape} on a {self.dim}-d grid")
-        h = self.h
-        idx = []
-        for a, b, m, x in zip(self.lo, self.hi, self.n, p):
-            k = int(np.floor((x - a) / h))
-            if k == m and x <= b:
-                k = m - 1
-            if not 0 <= k < m:
-                return None
-            idx.append(k + 1)
-        return tuple(idx)
-
     def axis_centers(self, k: int) -> np.ndarray:
         """Cell-center coordinates along dimension k."""
         return self.lo[k] + (np.arange(self.n[k]) + 0.5) * self.h
@@ -168,8 +140,9 @@ class Grid:
 def flat_bin_indices(grid: Grid, points: np.ndarray) -> np.ndarray:
     """Flat 0-based cell indices for an (m, dim) array of points.
 
-    Points outside the box get index -1. Right edges are half-open except
-    at hi, matching Grid.locate_cell.
+    Points outside the box get index -1. Bins are half-open on the right,
+    except the last cell per dimension, which is closed so that points
+    exactly on hi are still counted.
     """
     p = np.atleast_2d(np.asarray(points, dtype=float))
     if p.shape[1] != grid.dim:

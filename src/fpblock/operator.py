@@ -13,18 +13,14 @@ interior cells, so the matrix is rectangular and has a nontrivial kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import svdvals
 
-from .errors import ConfigurationError, DimensionError, SizeError
+from .errors import ConfigurationError, DimensionError
 from .grids import Grid
 from .models import ModelSpec
-
-_SVD_COLS_CAP = 4096
-_RANK_RTOL = 1e-10
 
 
 @dataclass
@@ -34,7 +30,6 @@ class InteriorOperator:
     grid: Grid
     model: ModelSpec
     matrix: sparse.csr_matrix
-    _normal: sparse.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -55,10 +50,9 @@ class InteriorOperator:
         return self.matrix @ values
 
     def normal_matrix(self) -> sparse.csr_matrix:
-        """A A^T, cached; symmetric positive definite when A has full row rank."""
-        if self._normal is None:
-            self._normal = (self.matrix @ self.matrix.T).tocsr()
-        return self._normal
+        """A A^T, formed anew on each call; symmetric positive definite when A
+        has full row rank."""
+        return (self.matrix @ self.matrix.T).tocsr()
 
 
 def assemble(model: ModelSpec, grid: Grid) -> InteriorOperator:
@@ -111,31 +105,3 @@ def assemble(model: ModelSpec, grid: Grid) -> InteriorOperator:
     matrix.sort_indices()
     return InteriorOperator(grid=grid, model=model, matrix=matrix)
 
-
-def _dense_rank(
-    op: InteriorOperator, cols_cap: int, vectors: bool = False
-) -> tuple[int, np.ndarray | None]:
-    """Numerical rank of A from a dense SVD, with V^T when vectors is set.
-
-    The rank counts singular values above 1e-10 times the largest one, so
-    columns beyond min(rows, cols) count as exact zeros. Guarded by a column
-    cap because the SVD is cubic in the grid size.
-    """
-    n_cols = op.matrix.shape[1]
-    if n_cols > cols_cap:
-        raise SizeError(
-            f"dense SVD of {n_cols} columns exceeds the cap {cols_cap}; "
-            "use the analysis module's closed-form basis for large grids"
-        )
-    dense = op.matrix.toarray()
-    if vectors:
-        _, s, vh = np.linalg.svd(dense, full_matrices=True)
-    else:
-        s, vh = svdvals(dense), None
-    rank = int(np.sum(s > _RANK_RTOL * s[0])) if s.size else 0
-    return rank, vh
-
-
-def kernel_dimension(op: InteriorOperator, cols_cap: int = _SVD_COLS_CAP) -> int:
-    """Numerical nullity of the operator: columns minus the dense SVD rank."""
-    return op.matrix.shape[1] - _dense_rank(op, cols_cap)[0]

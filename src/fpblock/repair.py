@@ -11,6 +11,9 @@ local solve lacked neighbor information. Two remedies are implemented:
   translated by a fraction of the block size, each round projecting the
   previous round's output, so former interface cells land in block
   interiors and get repaired.
+
+solve_method is the one place that picks between the plain solver and these
+two repairs, and trims a reference to the halo the chosen method reads.
 """
 
 from __future__ import annotations
@@ -19,14 +22,15 @@ from dataclasses import replace
 
 import numpy as np
 
-# assemble, solve_least_norm, restrict and collage stay for the benchmark tracer
+# assemble, solve_least_norm and collage stay for the benchmark tracer
 from .blocks import BlockReport, BlockSolveConfig, collage, restrict, solve_blocks
-from .errors import DimensionError
+from .errors import ConfigurationError, DimensionError
 from .grids import BlockPartition, DensityField, enumerate_blocks
 from .leastnorm import solve_least_norm
 from .models import ModelSpec
 from .operator import assemble
 
+METHODS = ("plain", "overlap", "shift")
 DEFAULT_SHIFT_SCHEDULE = (1.0 / 3.0, 2.0 / 3.0, 0.0)
 
 
@@ -76,6 +80,55 @@ def solve_shifting(
         current, reports = solve_blocks(model, current, replace(cfg, partition=part))
         rounds.append(reports)
     return current, rounds
+
+
+def solve_method(
+    model: ModelSpec,
+    v: DensityField,
+    cfg: BlockSolveConfig,
+    method: str,
+    iota: int = 1,
+    schedule: tuple[float, ...] = DEFAULT_SHIFT_SCHEDULE,
+) -> tuple[DensityField, list[list[BlockReport]]]:
+    """Block solve of v by one of METHODS, with the reports of every round.
+
+    v lives on the partition's grid inflated by any whole number k of cells
+    per side. It is first trimmed to the halo the method reads: iota cells
+    for overlap, none for plain and shift. A k below that halo raises
+    ConfigurationError; any other grid mismatch is left to solve_blocks,
+    which raises DimensionError. The reports are round-major: one round for
+    plain and overlap, len(schedule) + 1 for shift.
+    """
+    if method not in METHODS:
+        raise ConfigurationError(f"method must be one of {METHODS}, got {method!r}")
+    core = cfg.partition.grid
+    halo = method_halo((method,), iota)
+    k = max((v.grid.n[0] - core.n[0]) // 2, 0)
+    if k < halo:
+        raise ConfigurationError(
+            f"overlap iota={halo} needs a reference sampled with --inflate {halo} "
+            f"or more, got {k}"
+        )
+    if k > halo and v.grid == core.inflate(k):
+        trim = k - halo
+        v = restrict(v, tuple((trim, trim + m) for m in core.inflate(halo).n))
+    if method == "shift":
+        return solve_shifting(model, v, cfg, schedule)
+    fld, reports = solve_blocks(model, v, cfg, halo)
+    return fld, [reports]
+
+
+def method_halo(methods, iota: int) -> int:
+    """Cells per side that any of the methods reads around the core."""
+    return iota if "overlap" in methods else 0
+
+
+def method_settings(methods, iota: int, schedule: tuple[float, ...]) -> dict:
+    """The iota and schedule that any of the methods reads, None for the rest."""
+    return {
+        "iota": iota if "overlap" in methods else None,
+        "schedule": list(schedule) if "shift" in methods else None,
+    }
 
 
 def interface_jump(fld: DensityField, partition: BlockPartition) -> float:

@@ -262,11 +262,17 @@ def test_convergence_study_row_structure():
         seed=11,
     )
     assert [r["method"] for r in rows] == ["mc", "plain", "overlap", "shift"]
+    # oracle values: a refactor of the solve path must reproduce them to 1e-12
+    frozen = {
+        "mc": (0.16191820724160427, 1.3358127531225583),
+        "plain": (0.134469707531602, 0.7251075932821032),
+        "overlap": (0.12643132328103007, 0.48908280543970684),
+        "shift": (0.12103177481873123, 0.43977449278191016),
+    }
     for r in rows:
         assert r["n"] == 32
         assert r["samples"] == round(40.0 * 32**2)
-        assert r["l2"] > 0.0
-        assert r["h1"] > 0.0
+        assert (r["l2"], r["h1"]) == pytest.approx(frozen[r["method"]], rel=1e-12)
         assert r["wall_time"] >= 0.0
 
 

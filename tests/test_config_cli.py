@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import fpblock.analysis
 import fpblock.blocks
 from fpblock import (
     BlockPartition,
@@ -13,6 +14,7 @@ from fpblock import (
     ConfigurationError,
     DensityField,
     Grid,
+    Histogram,
     RunConfig,
     apply_overrides,
     histogram_to_density,
@@ -20,11 +22,13 @@ from fpblock import (
     read_field,
     read_histogram,
     restrict,
+    ring_exact_density,
     ring_model,
     serialize_config,
     solve_blocks,
     solve_overlapping,
     write_field,
+    write_histogram,
 )
 from fpblock.cli import main
 
@@ -255,6 +259,53 @@ def test_cli_plain_and_overlap_match_the_library_solvers(tmp_path):
                      "--method", method, "--out", str(cli_path)]) == 0
         write_field(fld, lib_path)
         assert cli_path.read_bytes() == lib_path.read_bytes(), method
+
+
+def test_cli_overlap_on_a_wider_inflation_matches_the_library(tmp_path):
+    # a histogram inflated by 2 cells is trimmed to the 1-cell halo overlap reads
+    cfg = _write_tiny_config(tmp_path / "run.cfg")
+    hist_path = tmp_path / "ring.fphist"
+    assert main(["sample", "--config", str(cfg), "--inflate", "2",
+                 "--out", str(hist_path)]) == 0
+    v_ext = histogram_to_density(read_histogram(hist_path))
+    assert v_ext.grid.n == (36, 36)
+    core = Grid((-2.0, -2.0), (2.0, 2.0), (32, 32))
+    solve_cfg = BlockSolveConfig(partition=BlockPartition(core, (2, 2)))
+    fld, _ = solve_overlapping(ring_model(), restrict(v_ext, ((1, 35),) * 2), solve_cfg, 1)
+    cli_path = tmp_path / "lap.fpgrid"
+    lib_path = tmp_path / "lap-lib.fpgrid"
+    assert main(["solve", "--config", str(cfg), "--hist", str(hist_path),
+                 "--method", "overlap", "--iota", "1", "--out", str(cli_path)]) == 0
+    write_field(fld, lib_path)
+    assert cli_path.read_bytes() == lib_path.read_bytes()
+
+
+_CORE = Grid((-2.0, -2.0), (2.0, 2.0), (32, 32))
+
+
+@pytest.mark.parametrize(
+    "grid, method",
+    [
+        (Grid((-3.0, -3.0), (3.0, 3.0), (32, 32)), "plain"),
+        (_CORE.inflate(1).subgrid(((0, 33), (0, 33))), "plain"),
+        (_CORE.inflate(2).subgrid(((0, 35), (0, 35))), "shift"),
+        (_CORE.inflate(2).subgrid(((0, 35), (0, 35))), "overlap"),
+    ],
+    ids=["another-box", "one-cell-more", "three-cells-more", "three-cells-more-overlap"],
+)
+def test_cli_solve_of_a_histogram_off_the_inflated_core_exits_2(
+    tmp_path, capsys, grid, method
+):
+    cfg = _write_tiny_config(tmp_path / "run.cfg")
+    hist_path = tmp_path / "h.fphist"
+    counts = np.full(grid.num_cells, 10, dtype=np.uint64)
+    write_histogram(Histogram(grid, counts, int(counts.sum())), hist_path)
+    out = tmp_path / "u.fpgrid"
+    code = main(["solve", "--config", str(cfg), "--hist", str(hist_path),
+                 "--method", method, "--out", str(out)])
+    assert code == 2
+    assert "reference grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_exact_reference_needs_a_2d_solution(tmp_path, capsys):
@@ -529,6 +580,25 @@ def test_cli_convergence_sidecar_tells_iota_apart(tmp_path, capsys):
     assert metas[0]["grid_lo"] == [-2.0, -2.0]
     assert metas[0]["burn_in"] == 2000
     assert metas[0]["chains"] == 4
+
+
+def test_unknown_convergence_method_fails_before_sampling(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(fpblock.analysis, "accumulate_histogram",
+                        lambda *a, **k: calls.append(1))
+    with pytest.raises(ConfigurationError, match="bogus"):
+        fpblock.analysis.convergence_study(
+            ring_model(), ring_exact_density(), (-2.0, -2.0), (2.0, 2.0), (32,),
+            methods=("mc", "bogus"),
+        )
+    cfg = _write_tiny_config(tmp_path / "run.cfg")
+    out = tmp_path / "conv.csv"
+    code = main(["convergence", "--config", str(cfg), "--mesh", "32",
+                 "--methods", "mc,bogus", "--block-cells", "16", "--out", str(out)])
+    assert code == 2
+    assert "bogus" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
 
 
 def test_console_script_is_installed():

@@ -15,15 +15,15 @@ from fpblock import (
 
 def test_cell_center_unit_square():
     g = Grid((0.0, 0.0), (1.0, 1.0), (2, 2))
-    assert g.cell_center((1, 1)) == (0.25, 0.25)
-    assert g.cell_center((2, 2)) == (0.75, 0.75)
+    assert g.centers().tolist() == [[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]]
 
 
 def test_cell_center_matches_halfcell_offset():
     g = Grid((-2.0, -2.0), (2.0, 2.0), (256, 256))
     h = g.h
-    assert g.cell_center((1, 1)) == pytest.approx((-2 + h / 2, -2 + h / 2), abs=1e-15)
-    assert g.cell_center((256, 256)) == pytest.approx((2 - h / 2, 2 - h / 2), abs=1e-15)
+    c = g.centers()
+    assert c[0] == pytest.approx((-2 + h / 2, -2 + h / 2), abs=1e-15)
+    assert c[-1] == pytest.approx((2 - h / 2, 2 - h / 2), abs=1e-15)
 
 
 def test_spacing_must_match_across_dimensions():
@@ -46,29 +46,16 @@ def test_grid_rejects_bad_bounds_and_counts():
 
 def test_locate_cell_centers_round_trip():
     g = Grid((-2.0, -2.0), (2.0, 2.0), (7, 7))
-    for i in range(1, 8):
-        for j in range(1, 8):
-            assert g.locate_cell(g.cell_center((i, j))) == (i, j)
-
-
-def test_locate_cell_edges():
-    g = Grid((0.0, 0.0), (1.0, 1.0), (4, 4))
-    assert g.locate_cell((0.0, 0.0)) == (1, 1)
-    # interior faces belong to the upper cell (half-open convention)
-    assert g.locate_cell((0.25, 0.1)) == (2, 1)
-    # the domain's top corner is kept in the last cell
-    assert g.locate_cell((1.0, 1.0)) == (4, 4)
-    assert g.locate_cell((1.0 + 1e-12, 0.5)) is None
-    assert g.locate_cell((-0.1, 0.5)) is None
+    assert flat_bin_indices(g, g.centers()).tolist() == list(range(49))
 
 
 def test_flat_bin_indices_row_major_and_outside():
     g = Grid((0.0, 0.0), (1.0, 1.0), (3, 3))
     pts = np.array(
         [
-            [0.1, 0.1],  # cell (1,1) -> flat 0
-            [0.1, 0.5],  # cell (1,2) -> flat 1, last index fastest
-            [0.5, 0.1],  # cell (2,1) -> flat 3
+            [0.1, 0.1],  # cell (0,0) -> flat 0
+            [0.1, 0.5],  # cell (0,1) -> flat 1, last index fastest
+            [0.5, 0.1],  # cell (1,0) -> flat 3
             [1.0, 1.0],  # closed top corner -> flat 8
             [1.5, 0.5],  # outside
         ]
@@ -76,13 +63,26 @@ def test_flat_bin_indices_row_major_and_outside():
     assert flat_bin_indices(g, pts).tolist() == [0, 1, 3, 8, -1]
 
 
+def test_locate_cell_edges():
+    g = Grid((0.0, 0.0), (1.0, 1.0), (4, 4))
+    pts = np.array(
+        [
+            [0.0, 0.0],  # the low corner -> cell (0,0)
+            [0.25, 0.1],  # an interior face belongs to the upper cell (1,0)
+            [1.0, 1.0],  # the domain's top corner is kept in the last cell
+            [1.0 + 1e-12, 0.5],  # just past hi -> outside
+            [-0.1, 0.5],  # below lo -> outside
+        ]
+    )
+    assert flat_bin_indices(g, pts).tolist() == [0, 4, 15, -1, -1]
+
+
 def test_field_values_flatten_with_last_index_fastest():
     g = Grid((0.0, 0.0), (0.75, 1.0), (3, 4))
     fld = DensityField.from_function(g, lambda p: p[..., 1])
-    ys = [g.cell_center((1, j))[1] for j in range(1, 5)]
-    assert fld.values[:4] == pytest.approx(ys)
+    assert fld.values[:4] == pytest.approx(g.axis_centers(1))
     assert fld.reshaped().shape == (3, 4)
-    assert fld.reshaped()[2, 1] == pytest.approx(g.cell_center((3, 2))[1])
+    assert fld.reshaped()[2, 1] == pytest.approx(g.axis_centers(1)[1])
 
 
 def test_field_accepts_shaped_input_and_is_read_only():
@@ -123,9 +123,9 @@ def test_subgrid_keeps_physical_coordinates():
     g = Grid((-2.0, -2.0), (2.0, 2.0), (8, 8))
     sub = g.subgrid(((2, 6), (0, 4)))
     assert sub.n == (4, 4)
-    # cell (1,1) of the subgrid is cell (3,1) of the parent
-    assert sub.cell_center((1, 1)) == pytest.approx(g.cell_center((3, 1)))
-    assert sub.cell_center((4, 4)) == pytest.approx(g.cell_center((6, 4)))
+    # cell (0,0) of the subgrid is cell (2,0) of the parent
+    parent = g.centers().reshape(8, 8, 2)
+    assert sub.centers().reshape(4, 4, 2) == pytest.approx(parent[2:6, 0:4])
 
 
 def test_partition_counts_and_sizes():
@@ -214,6 +214,5 @@ def test_block_grids_inherit_parent_coordinates():
     b = enumerate_blocks(part)[3]
     assert isinstance(b, Block)
     core_grid = g.subgrid(b.core)
-    assert core_grid.cell_center((1, 1)) == pytest.approx(
-        g.cell_center((b.core[0][0] + 1, b.core[1][0] + 1))
-    )
+    parent = g.centers().reshape(64, 64, 2)
+    assert core_grid.centers()[0] == pytest.approx(parent[b.core[0][0], b.core[1][0]])

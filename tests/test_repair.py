@@ -15,6 +15,7 @@ from fpblock import (
     ring_exact_density,
     ring_model,
     solve_blocks,
+    solve_method,
     solve_overlapping,
     solve_shifting,
     synthetic_reference,
@@ -140,6 +141,51 @@ def test_too_fine_shift_fails_before_any_solve(monkeypatch):
     with pytest.raises(ConfigurationError, match="2 cells wide"):
         solve_shifting(ring_model(), v, cfg)
     assert calls == []
+
+
+def test_solve_method_trims_an_inflated_reference_to_each_methods_halo():
+    # the reference carries 2 halo cells per side: overlap with iota = 1 reads
+    # one of them, plain and shift read none
+    core = Grid((-2.0, -2.0), (2.0, 2.0), (32, 32))
+    v_ext = _noisy_ring_reference(core.inflate(2))
+    cfg = BlockSolveConfig(partition=BlockPartition(core, (2, 2)))
+    model = ring_model()
+    v_halo = restrict(v_ext, ((1, 35),) * 2)
+    v_core = restrict(v_ext, ((2, 34),) * 2)
+    expected = {
+        "plain": (solve_blocks(model, v_core, cfg)[0], 1),
+        "overlap": (solve_overlapping(model, v_halo, cfg, iota=1)[0], 1),
+        "shift": (solve_shifting(model, v_core, cfg)[0], 1 + len(DEFAULT_SHIFT_SCHEDULE)),
+    }
+    for method, (fld, n_rounds) in expected.items():
+        got, rounds = solve_method(model, v_ext, cfg, method, iota=1)
+        assert got.grid == core
+        assert np.array_equal(got.values, fld.values), method
+        assert len(rounds) == n_rounds, method
+        assert len(rounds[0]) == 4, method
+
+
+def test_solve_method_rejects_an_unknown_method_before_any_solve(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fpblock.blocks, "solve_least_norm", lambda *a: calls.append(1))
+    g = Grid((-2.0, -2.0), (2.0, 2.0), (32, 32))
+    cfg = BlockSolveConfig(partition=BlockPartition(g, (2, 2)))
+    with pytest.raises(ConfigurationError, match="bogus"):
+        solve_method(ring_model(), _noisy_ring_reference(g), cfg, "bogus")
+    assert calls == []
+
+
+def test_solve_method_needs_the_halo_and_a_matching_grid():
+    core = Grid((-2.0, -2.0), (2.0, 2.0), (32, 32))
+    cfg = BlockSolveConfig(partition=BlockPartition(core, (2, 2)))
+    with pytest.raises(ConfigurationError, match="--inflate 2"):
+        solve_method(ring_model(), _noisy_ring_reference(core.inflate(1)), cfg,
+                     "overlap", iota=2)
+    # 35 cells: not the core inflated by whole cells, so nothing is trimmed
+    odd = core.inflate(2).subgrid(((0, 35), (0, 35)))
+    for method in ("plain", "overlap", "shift"):
+        with pytest.raises(DimensionError, match="reference grid"):
+            solve_method(ring_model(), _noisy_ring_reference(odd), cfg, method)
 
 
 def test_shifting_beats_plain_blocks_on_noisy_reference():

@@ -13,6 +13,7 @@ from fpblock import (
     ModelSpec,
     SamplerConfig,
     accumulate_histogram,
+    flat_bin_indices,
     histogram_to_density,
     mmo_model,
     ring_exact_density,
@@ -257,8 +258,8 @@ def test_default_initial_point_is_model_specific():
         name="ring", dim=2, drift=lambda p: np.zeros_like(np.asarray(p)), epsilon=1e-9
     )
     hist = accumulate_histogram(model, grid, cfg)
-    assert grid.locate_cell((0.0, 0.0)) == (3, 3)
-    flat = 2 * 5 + 2
+    flat = flat_bin_indices(grid, (0.0, 0.0))[0]
+    assert flat == 2 * 5 + 2
     assert hist.counts[flat] == 8
 
 
@@ -301,12 +302,13 @@ def test_density_estimate_matches_exact_cell_probability():
     cfg = SamplerConfig(n_samples=n, dt=0.002, burn_in=100_000, n_chains=16, seed=0)
     dens = histogram_to_density(accumulate_histogram(model, grid, cfg))
 
-    idx = grid.locate_cell((1.0, 0.0))
-    corner = [grid.lo[k] + (idx[k] - 1) * grid.h for k in range(2)]
+    flat = flat_bin_indices(grid, (1.0, 0.0))[0]
+    idx = np.unravel_index(flat, grid.shape)
+    assert idx == (48, 32)
+    corner = [grid.lo[k] + idx[k] * grid.h for k in range(2)]
     p_cell = gauss_cell_integral(exact, corner, grid.h, dim=2)
     expected = p_cell / grid.cell_volume
     sigma = np.sqrt(n * p_cell * (1.0 - p_cell)) / (n * grid.cell_volume)
-    flat = (idx[0] - 1) * 64 + (idx[1] - 1)
     assert abs(dens.values[flat] - expected) <= 3.0 * sigma
 
 
