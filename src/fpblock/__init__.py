@@ -12,7 +12,6 @@ from .analysis import (
     discrete_h1_error,
     discrete_l2_error,
     kernel_basis_numeric,
-    kernel_dimension,
     laplacian_kernel_basis,
     loglog_slope,
     principal_angles,

@@ -3,11 +3,14 @@
 Given the interior operator A and a reference v, the solve returns the
 minimizer of ||u - v||_2 subject to A u = 0. Writing u = A^T y + v, the
 multiplier solves the normal system (A A^T) y = -A v, which is symmetric
-positive definite whenever A has full row rank. Small 1-D and 2-D systems,
-such as the blocks of a decomposed plane, are stored as a band, with the
-longer interior axis outermost so that the band is two narrow sides wide,
-factored by banded Cholesky (LAPACK pbtrf) and solved once; large and 3-D
-ones are attacked with preconditioned conjugate gradients. On a large 1-D or
+positive definite whenever A has full row rank. The operator builds
+A A^T as diagonals from products of its stencil's slices, and A v and A^T y
+are stencil sums too, so a direct solve forms no CSR matrix. Small 1-D and
+2-D systems, such as the blocks of a decomposed plane, take their rows with
+the longer interior axis outermost, so that the band is two narrow sides
+wide; the lower diagonals are copied into a LAPACK band, factored by banded
+Cholesky (pbtrf) and solved once. Large and 3-D systems are converted to CSR
+once and attacked with preconditioned conjugate gradients. On a large 1-D or
 2-D system, such as a whole 128^2 grid, the preconditioner is a
 smoothed-aggregation multigrid V-cycle: A A^T is a fourth-order operator, on
 which the iterations of diagonal scaling alone roughly quadruple with each
@@ -45,12 +48,13 @@ from .operator import InteriorOperator
 
 # Largest 1-D or 2-D system factored directly, in rows times the bandwidth of
 # A A^T with the longest interior axis outermost, 2 prod(n_k-2) over all the
-# other axes. The band factor holds rows times (bandwidth + 1) doubles, so the
-# cap bounds it at 1 MB plus one double per row: 32^2 and 34^2 blocks go
-# direct (54 k and 65 k, 440 KB and 530 KB), while a 128^2 whole grid (4 M,
-# 32 MB) stays on CG. 3-D systems always stay on CG: their band is two planes
-# wide, and over the 70 solves of a seed-0 rossler-3d-32 shift solve the band
-# path took 0.72 s against 0.49 s for Jacobi-preconditioned CG.
+# other axes. The band holds rows times (bandwidth + 1) doubles, beside the 13
+# diagonals of the DIA matrix it is copied from, so the cap bounds it at 1 MB
+# plus one double per row: 32^2 and 34^2 blocks go direct (54 k and 65 k,
+# 440 KB and 530 KB), while a 128^2 whole grid (4 M, 32 MB) stays on CG. 3-D
+# systems always stay on CG: their band is two planes wide, and over the 70
+# solves of a seed-0 rossler-3d-32 shift solve the band path took 0.72 s
+# against 0.49 s for Jacobi-preconditioned CG.
 _DIRECT_SIZE_CAP = 2**17
 # Multigrid aggregates are blocks of 3^d cells. A A^T couples cells up to two
 # apart along an axis, and with blocks of 3 the Galerkin operator of every
@@ -116,27 +120,34 @@ def _direct_size(op: InteriorOperator) -> int:
     """Rows times the bandwidth of A A^T with the longest interior axis
     outermost, known before factoring: the size of _direct's band factor
     less its diagonal."""
-    return op.matrix.shape[0] * 2 * int(np.prod(sorted(op.interior_shape)[:-1]))
+    return op.shape[0] * 2 * int(np.prod(sorted(op.interior_shape)[:-1]))
 
 
-def _direct(mat, b: np.ndarray, rel_tol: float, shape: tuple[int, ...] | None = None):
-    """Banded Cholesky of an SPD matrix and one solve, checked like a CG result.
+def _band_axes(shape: tuple[int, ...]) -> list[int]:
+    """The interior axes from the longest to the shortest, ties in order: taken
+    outermost first, they make the band of A A^T two narrow sides wide."""
+    return sorted(range(len(shape)), key=lambda k: -shape[k])
 
-    The lower triangle of mat is stored as a (bandwidth + 1, rows) band. On a
-    2-D grid shape whose last, fast axis is the longer, the rows are first
-    taken in transposed order, so the band is two narrow sides wide, and the
-    solution is put back in the original order.
+
+def _lower_band(mat) -> np.ndarray:
+    """The lower triangle of a square sparse matrix as a LAPACK lower band,
+    (bandwidth + 1, rows), copied diagonal by diagonal from its DIA form, which
+    the normal matrix already has."""
+    dia = mat.todia()
+    lower = dia.offsets <= 0
+    band = np.zeros((1 - int(dia.offsets.min()), dia.shape[0]))
+    band[-dia.offsets[lower], : dia.data.shape[1]] = dia.data[lower, : dia.shape[0]]
+    return band
+
+
+def _direct(mat, b: np.ndarray, rel_tol: float):
+    """Banded Cholesky of an SPD sparse matrix and one solve, checked like a
+    CG result.
+
+    The band follows mat's own row order, so a caller that wants it narrow
+    orders the rows first.
     """
-    order = np.arange(b.size)
-    if shape is not None and len(shape) == 2 and shape[1] > shape[0]:
-        order = order.reshape(shape).T.ravel()
-    where = np.argsort(order)
-    coo = mat.tocoo()
-    row, col = where[coo.row], where[coo.col]
-    lower = row >= col
-    offset = row[lower] - col[lower]
-    band = np.zeros((int(offset.max(initial=0)) + 1, b.size))
-    band[offset, col[lower]] = coo.data[lower]
+    band = _lower_band(mat)
     # The lower form, because it is the fast one with 2 BLAS threads: on a 32^2
     # ring block (900 rows, bandwidth 60) of a 2-vCPU host, dpbtrf took about
     # 1.1 ms in lower form against 3.0 to 4.3 ms in upper form (SuperLU: 3.1 to
@@ -148,7 +159,7 @@ def _direct(mat, b: np.ndarray, rel_tol: float, shape: tuple[int, ...] | None = 
             f"banded Cholesky of the normal system failed ({exc}): the "
             "operator appears rank deficient"
         ) from exc
-    x = cho_solve_banded((factor, True), b[order])[where]
+    x = cho_solve_banded((factor, True), b)
     r = b - mat @ x
     norm_tol, inf_tol = _tolerances(b, rel_tol)
     if not (np.linalg.norm(r) <= norm_tol and np.max(np.abs(r)) <= inf_tol):
@@ -401,26 +412,32 @@ def solve_least_norm(
     if v.grid != op.grid:
         raise DimensionError("reference field and operator live on different grids")
     t0 = time.perf_counter()
-    a = op.matrix
-    b = -(a @ v.values)
-    normal = op.normal_matrix()
+    b = -op.apply(v.values)
+    shape = op.interior_shape
+    direct = op.grid.dim <= 2 and _direct_size(op) <= _DIRECT_SIZE_CAP
+    axes = _band_axes(shape) if direct else None
+    normal = op.normal_matrix(axes)
     iters = factor_nnz = 0
     if not b.any():
         y = np.zeros_like(b)
-    elif op.grid.dim <= 2 and _direct_size(op) <= _DIRECT_SIZE_CAP:
-        y, factor_nnz = _direct(normal, b, opts.cg_rel_tol, op.interior_shape)
+    elif direct:
+        b_band = b.reshape(shape).transpose(axes).ravel()
+        x, factor_nnz = _direct(normal, b_band, opts.cg_rel_tol)
+        y = x.reshape([shape[k] for k in axes]).transpose(np.argsort(axes)).ravel()
     else:
+        # CG and the V-cycle read CSR; the DIA goes before the hierarchy is built
+        normal = normal.tocsr()
         max_iters = opts.cg_max_iters
         if max_iters is None:
-            max_iters = 10 * a.shape[0]
-        y, iters, _ = _cg(normal, b, opts.cg_rel_tol, max_iters, op.interior_shape)
-    correction = a.T @ y
+            max_iters = 10 * b.size
+        y, iters, _ = _cg(normal, b, opts.cg_rel_tol, max_iters, shape)
+    correction = op.apply_transpose(y)
     u = v.values + correction
     field = DensityField(v.grid, u)
     report = SolveReport(
         iterations=iters,
         factor_nnz=factor_nnz,
-        residual_constraint=float(np.max(np.abs(a @ u))),
+        residual_constraint=float(np.max(np.abs(op.apply(u)))),
         distance=float(np.linalg.norm(correction)),
         min_value=field.min_value,
         wall_time=time.perf_counter() - t0,

@@ -9,11 +9,15 @@ attached to an interior cell c reads, summed over dimensions k,
 
 with the drift evaluated at the neighbor cell centers. Rows exist only for
 interior cells, so the matrix is rectangular and has a nontrivial kernel.
+It is kept as its stencil, one coefficient array per offset, so products
+with A, A^T and the diagonals of A A^T are sums of shifted slices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -23,43 +27,148 @@ from .grids import Grid
 from .models import ModelSpec
 
 
-@dataclass
+def _stencil(d: int) -> list[tuple[int, ...]]:
+    """The 2d + 1 offsets of the nearest-neighbour stencil in increasing flat
+    order: -e_0, ..., -e_{d-1}, 0, e_{d-1}, ..., e_0."""
+    units = [tuple(int(j == k) for j in range(d)) for k in range(d)]
+    return [tuple(-x for x in e) for e in units] + [(0,) * d] + units[::-1]
+
+
+# A run meets few grid shapes (blocks, partial edge blocks, halos), so the
+# slicing plans are cached per shape, up to this many.
+_PLANS = 256
+
+
+@lru_cache(maxsize=_PLANS)
+def _cells(n: tuple[int, ...]) -> tuple[tuple[slice, ...], ...]:
+    """Per stencil offset o, the slice of a grid of shape n that holds the
+    cells r + 1 + o of every interior row r."""
+    return tuple(
+        tuple(slice(1 + x, m - 1 + x) for x, m in zip(o, n)) for o in _stencil(len(n))
+    )
+
+
+@dataclass(eq=False)
 class InteriorOperator:
-    """Sparse interior-stencil matrix together with its provenance."""
+    """The interior-stencil matrix A of a model on a grid, as its stencil.
+
+    coefficients has shape (2d + 1, *interior_shape): coefficients[j][r] is
+    the entry of interior row r in the column of cell r + 1 + _stencil(d)[j].
+    """
 
     grid: Grid
     model: ModelSpec
-    matrix: sparse.csr_matrix
+    coefficients: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+        return math.prod(self.interior_shape), self.grid.num_cells
 
     @property
     def interior_shape(self) -> tuple[int, ...]:
         return tuple(m - 2 for m in self.grid.n)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Residuals A @ values, one entry per interior cell."""
-        values = np.asarray(values, dtype=float).ravel()
-        if values.size != self.matrix.shape[1]:
-            raise DimensionError(
-                f"vector of length {values.size} for operator with "
-                f"{self.matrix.shape[1]} columns"
-            )
-        return self.matrix @ values
+        """A u for a field u given by its values on every cell in flat order:
+        the residual of each interior row, in flat interior order.
 
-    def normal_matrix(self) -> sparse.csr_matrix:
-        """A A^T, formed anew on each call; symmetric positive definite when A
-        has full row rank."""
-        return (self.matrix @ self.matrix.T).tocsr()
+        Raises DimensionError unless values holds one entry per cell. Each row
+        sums its stencil's terms in increasing column order, as a product with
+        the matrix property does.
+        """
+        u = np.asarray(values, dtype=float).ravel()
+        if u.size != self.grid.num_cells:
+            raise DimensionError(
+                f"vector of length {u.size} for operator with "
+                f"{self.grid.num_cells} columns"
+            )
+        u = u.reshape(self.grid.n)
+        return sum(k * u[c] for k, c in zip(self.coefficients, _cells(self.grid.n))).ravel()
+
+    def apply_transpose(self, y: np.ndarray) -> np.ndarray:
+        """A^T y for one value per interior row, as one value per cell; each
+        cell sums its rows' terms in increasing row order."""
+        out = np.zeros(self.grid.n)
+        y = np.asarray(y, dtype=float).reshape(self.interior_shape)
+        for k, cells in zip(self.coefficients[::-1], _cells(self.grid.n)[::-1]):
+            out[cells] += k * y
+        return out.ravel()
+
+    @cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        """A as a CSR matrix, built on first use: each row holds its 2d + 1
+        stencil entries in increasing column order."""
+        width, rows = len(self.coefficients), self.shape[0]
+        cells = np.arange(self.grid.num_cells).reshape(self.grid.n)
+        cols = np.stack([cells[c].ravel() for c in _cells(self.grid.n)], axis=1)
+        data = self.coefficients.reshape(width, rows).T.ravel()
+        indptr = np.arange(0, width * rows + 1, width)
+        return sparse.csr_matrix((data, cols.ravel(), indptr), shape=self.shape)
+
+    def normal_matrix(self, axes: tuple[int, ...] | None = None) -> sparse.dia_matrix:
+        """A A^T as a DIA matrix, with its rows in the order of the interior
+        transposed to axes (natural order by default).
+
+        Row R and column C couple through every pair of stencil offsets
+        (o, o') with o - o' = C - R, by K_o[R] K_o'[C]. Each pair on or below
+        the diagonal adds its slice product there, in increasing order of o,
+        so every entry is rounded as in the CSR product A A^T, which is
+        exactly symmetric; the diagonals above are copies of their mirrors.
+        """
+        axes = tuple(range(self.grid.dim)) if axes is None else tuple(axes)
+        shape = tuple(self.interior_shape[k] for k in axes)
+        products, offsets, mirrors = _normal_plan(shape, axes)
+        coefficients = [k.transpose(axes) for k in self.coefficients]
+        n = math.prod(shape)
+        data = np.zeros((len(offsets), n))
+        for i, o, p, rows, cols in products:
+            data[i].reshape(shape)[cols] += coefficients[o][rows] * coefficients[p][cols]
+        for up, low, f in mirrors:
+            data[up, f:] = data[low, : n - f]
+        return sparse.dia_matrix((data, offsets), shape=(n, n))
+
+
+@lru_cache(maxsize=_PLANS)
+def _normal_plan(shape: tuple[int, ...], axes: tuple[int, ...]):
+    """How normal_matrix builds A A^T on an interior of the given shape, its
+    axes taken in the order axes.
+
+    Returns the slice products (diagonal, o, o', rows R, columns C) of the
+    stencil pairs whose difference C - R lies on or below the diagonal and
+    couples some cells, in increasing order of o; the sorted flat offsets of
+    the diagonals; and each diagonal above with the one it mirrors and its
+    offset. Where an axis after the first is 2 or 3 cells long, two
+    differences share a flat offset; their products fall on disjoint cells of
+    that diagonal and are summed.
+    """
+    strides = np.array([math.prod(shape[k + 1 :]) for k in range(len(shape))])
+    stencil = [np.array(o)[list(axes)] for o in _stencil(len(shape))]
+    pairs = [(o, p, a - b) for o, a in enumerate(stencil) for p, b in enumerate(stencil)]
+    # a difference as long as a side couples nothing
+    pairs = [(o, p, e, int(e @ strides)) for o, p, e in pairs if all(abs(e) < shape)]
+    lower = sorted({f for *_, f in pairs if f <= 0})
+    offsets = tuple(lower + [-f for f in reversed(lower) if f < 0])
+    row = {f: i for i, f in enumerate(offsets)}
+    products = tuple(
+        (
+            row[f],
+            o,
+            p,
+            tuple(slice(max(-x, 0), m - max(x, 0)) for x, m in zip(e, shape)),
+            tuple(slice(max(x, 0), m + min(x, 0)) for x, m in zip(e, shape)),
+        )
+        for o, p, e, f in pairs
+        if f <= 0
+    )
+    return products, offsets, tuple((row[-f], row[f], -f) for f in lower if f < 0)
 
 
 def assemble(model: ModelSpec, grid: Grid) -> InteriorOperator:
-    """Build the interior-stencil matrix for a model on a grid.
+    """Build the interior-stencil operator of a model on a grid.
 
     The result has one row per interior cell, (n_1-2)...(n_d-2) in total,
     and one column per cell. Columns touching only boundary cells are zero.
+    The drift is evaluated once, at every cell center.
     """
     if model.dim != grid.dim:
         raise DimensionError(
@@ -73,35 +182,17 @@ def assemble(model: ModelSpec, grid: Grid) -> InteriorOperator:
     d = grid.dim
     diff = 0.5 * model.epsilon**2 / (h * h)
     adv = 0.5 / h
-
-    axes = [np.arange(1, m - 1) for m in grid.n]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    interior = np.stack([m.ravel() for m in mesh], axis=-1)
-    n_rows = interior.shape[0]
-    row_ids = np.arange(n_rows)
-    lo = np.array(grid.lo)
-
-    rows = [row_ids]
-    cols = [np.ravel_multi_index(interior.T, grid.n)]
-    vals = [np.full(n_rows, -2.0 * d * diff)]
-    for k in range(d):
-        for sgn in (1, -1):
-            nb = interior.copy()
-            nb[:, k] += sgn
-            centers = lo + (nb + 0.5) * h
-            f_k = np.asarray(model.drift(centers), dtype=float)[:, k]
-            if not np.all(np.isfinite(f_k)):
-                raise ConfigurationError(
-                    f"drift returned non-finite values along dimension {k}"
-                )
-            rows.append(row_ids)
-            cols.append(np.ravel_multi_index(nb.T, grid.n))
-            vals.append(diff - sgn * adv * f_k)
-
-    matrix = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_rows, grid.num_cells),
-    ).tocsr()
-    matrix.sort_indices()
-    return InteriorOperator(grid=grid, model=model, matrix=matrix)
-
+    drift = np.asarray(model.drift(grid.centers()), dtype=float).reshape(*grid.n, d)
+    op = InteriorOperator(grid, model, np.empty((2 * d + 1, *(m - 2 for m in grid.n))))
+    for j, (o, cells) in enumerate(zip(_stencil(d), _cells(grid.n))):
+        if not any(o):
+            op.coefficients[j] = -2.0 * d * diff
+            continue
+        k = int(np.flatnonzero(o)[0])
+        f_k = drift[cells + (k,)]
+        if not np.all(np.isfinite(f_k)):
+            raise ConfigurationError(
+                f"drift returned non-finite values along dimension {k}"
+            )
+        op.coefficients[j] = diff - (o[k] * adv) * f_k
+    return op

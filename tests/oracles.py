@@ -8,6 +8,7 @@ evidence rather than tautology.
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse
 from numpy.polynomial.legendre import leggauss
 from scipy.special import erf
 
@@ -110,6 +111,48 @@ def dense_interior_matrix(model, grid):
                 mat[row, flat(nb)] = 0.5 * eps2 / h**2 - sgn * f / (2.0 * h)
         row += 1
     return mat
+
+
+def coo_interior_matrix(model, grid):
+    """The interior matrix from COO triplets, with one drift call per
+    neighbour direction on the shifted interior centres, converted to CSR
+    with sorted indices: an assembly that shares no code with the stencil."""
+    h, d = grid.h, grid.dim
+    diff = 0.5 * model.epsilon**2 / (h * h)
+    adv = 0.5 / h
+    mesh = np.meshgrid(*[np.arange(1, m - 1) for m in grid.n], indexing="ij")
+    interior = np.stack([m.ravel() for m in mesh], axis=-1)
+    row_ids = np.arange(interior.shape[0])
+    lo = np.array(grid.lo)
+    rows, cols = [row_ids], [np.ravel_multi_index(interior.T, grid.n)]
+    vals = [np.full(row_ids.size, -2.0 * d * diff)]
+    for k in range(d):
+        for sgn in (1, -1):
+            nb = interior.copy()
+            nb[:, k] += sgn
+            f_k = np.asarray(model.drift(lo + (nb + 0.5) * h), dtype=float)[:, k]
+            rows.append(row_ids)
+            cols.append(np.ravel_multi_index(nb.T, grid.n))
+            vals.append(diff - sgn * adv * f_k)
+    matrix = scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(row_ids.size, grid.num_cells),
+    ).tocsr()
+    matrix.sort_indices()
+    return matrix
+
+
+def gathered_band(normal, shape, axes):
+    """Lower band of a normal matrix with the rows of the interior shape taken
+    in the order of its transpose to axes, gathered entry by entry from COO."""
+    order = np.arange(normal.shape[0]).reshape(shape).transpose(axes).ravel()
+    where = np.argsort(order)
+    coo = normal.tocoo()
+    row, col = where[coo.row], where[coo.col]
+    lower = row >= col
+    band = np.zeros((int((row - col)[lower].max()) + 1, normal.shape[0]))
+    band[(row - col)[lower], col[lower]] = coo.data[lower]
+    return band
 
 
 def ring_drift_reference(p):

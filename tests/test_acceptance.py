@@ -45,7 +45,6 @@ from fpblock import (
     convergence_study,
     discrete_l2_error,
     histogram_to_density,
-    kernel_dimension,
     laplacian_kernel_basis,
     loglog_slope,
     mmo_model,
@@ -60,6 +59,7 @@ from fpblock import (
     worst_residual,
     zero_drift_model,
 )
+from fpblock.analysis import kernel_dimension
 from oracles import grid_quadrature, independent_histogram
 
 # Annulus 0.5 <= r^2 <= 1.5 mass of the exact ring density, integrated by

@@ -24,21 +24,23 @@ from fpblock import (
     synthetic_reference,
     zero_drift_model,
 )
-from fpblock.leastnorm import _cg, _direct, _vcycle
+from fpblock.leastnorm import _band_axes, _cg, _direct, _lower_band, _vcycle
+from oracles import gathered_band
 
 
 def _toy_operator():
-    # single constraint u1 + u2 = 0 on a two-cell interval
-    grid = Grid((0.0,), (1.0,), (2,))
-    matrix = scipy.sparse.csr_matrix(np.array([[1.0, 1.0]]))
-    return InteriorOperator(grid=grid, model=zero_drift_model(1), matrix=matrix)
+    # single constraint u0 + u1 = 0 on a three-cell interval: the one interior
+    # row weights its left neighbour and itself, not its right neighbour
+    grid = Grid((0.0,), (1.0,), (3,))
+    coefficients = np.array([[1.0], [1.0], [0.0]])
+    return InteriorOperator(grid=grid, model=zero_drift_model(1), coefficients=coefficients)
 
 
 def test_minimal_correction_on_a_single_constraint():
     op = _toy_operator()
-    v = DensityField(op.grid, np.array([1.0, 0.0]))
+    v = DensityField(op.grid, np.array([1.0, 0.0, 0.0]))
     u, report = solve_least_norm(op, v)
-    assert u.values == pytest.approx([0.5, -0.5], abs=1e-14)
+    assert u.values == pytest.approx([0.5, -0.5, 0.0], abs=1e-14)
     assert report.distance == pytest.approx(np.sqrt(0.5), rel=1e-12)
     assert report.residual_constraint <= 1e-13
     assert report.min_value == pytest.approx(-0.5)
@@ -135,6 +137,34 @@ def test_small_block_is_solved_directly_and_agrees_with_cg(shape):
 @pytest.mark.parametrize(
     "model, grid",
     [
+        (ring_model(), _ring_block((32, 32)).grid),
+        (ring_model(), _ring_block((34, 34)).grid),
+        (ring_model(), _ring_block((12, 100)).grid),
+        (ring_model(), _ring_block((100, 12)).grid),
+        # a side of 3 interior cells maps two couplings to one flat offset
+        (ring_model(), _ring_block((34, 5)).grid),
+        (rossler_model(), Grid((-15.0,) * 3, (0.0, -8.4375, 0.0), (16, 7, 16))),
+        (rossler_model(), Grid((-15.0,) * 3, (0.0, 0.0, -10.3125), (16, 16, 5))),
+    ],
+    ids=["32x32", "34x34", "12x100", "100x12", "34x5", "rossler-16x7x16", "rossler-16x16x5"],
+)
+def test_stencil_normal_matrix_equals_sparse_product(model, grid):
+    # the diagonals from slice products, and the band copied from them with
+    # the longest axis outermost, equal A A^T formed by sparse products
+    op = assemble(model, grid)
+    shape = op.interior_shape
+    product = (op.matrix @ op.matrix.T).tocsr()
+    scale = np.max(np.abs(product.data))
+    assert np.max(np.abs((op.normal_matrix() - product).data), initial=0.0) <= 1e-14 * scale
+    axes = _band_axes(shape)
+    band, expected = _lower_band(op.normal_matrix(axes)), gathered_band(product, shape, axes)
+    assert band.shape == expected.shape
+    assert np.max(np.abs(band - expected)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize(
+    "model, grid",
+    [
         (rossler_model(), Grid((-15.0,) * 3, (0.0,) * 3, (16, 16, 16))),
         (rossler_model(), Grid((-15.0,) * 3, (0.0, 0.0, -10.3125), (16, 16, 5))),
         (ring_model(), Grid((-2.0, -2.0), (2.0, 2.0), (128, 128))),
@@ -161,7 +191,7 @@ def test_large_and_3d_systems_stay_on_cg(model, grid):
 def test_multigrid_preconditioner_is_symmetric_positive_definite(model, grid):
     # CG is only valid with a symmetric positive definite preconditioner
     op = assemble(model, grid)
-    normal = op.normal_matrix()
+    normal = op.normal_matrix().tocsr()
     precondition = _vcycle(normal, 1.0 / normal.diagonal(), op.interior_shape)
     rng = np.random.default_rng(12)
     for _ in range(5):
@@ -188,11 +218,11 @@ def test_whole_128_ring_projection_agrees_with_jacobi_in_few_iterations():
 
 def test_direct_solve_of_singular_system_raises_rank_deficiency():
     # the second constraint row is empty, so A A^T has a zero row and column
-    grid = Grid((0.0,), (1.0,), (3,))
-    matrix = scipy.sparse.csr_matrix(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
-    op = InteriorOperator(grid=grid, model=zero_drift_model(1), matrix=matrix)
+    grid = Grid((0.0,), (1.0,), (4,))
+    coefficients = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    op = InteriorOperator(grid=grid, model=zero_drift_model(1), coefficients=coefficients)
     with pytest.raises(RankDeficiencyError):
-        solve_least_norm(op, DensityField(grid, np.array([1.0, 0.0, 0.0])))
+        solve_least_norm(op, DensityField(grid, np.array([1.0, 0.0, 0.0, 0.0])))
 
 
 def test_direct_solve_of_indefinite_matrix_raises_rank_deficiency():
@@ -226,13 +256,15 @@ def test_badly_scaled_3d_block_converges_fast_and_agrees_with_lu():
 def test_empty_row_raises_rank_deficiency_before_any_iteration(monkeypatch):
     # 3-D systems always go to CG; the zeroed row leaves A A^T a zero diagonal
     grid = Grid((-15.0,) * 3, (0.0,) * 3, (6, 6, 6))
-    matrix = assemble(rossler_model(), grid).matrix.tolil()
-    matrix[5, :] = 0.0
-    op = InteriorOperator(grid=grid, model=rossler_model(), matrix=matrix.tocsr())
+    op = assemble(rossler_model(), grid)
+    op.coefficients.reshape(len(op.coefficients), -1)[:, 5] = 0.0
     normal = op.normal_matrix()
     products = []
 
     class CountingMatrix:
+        def tocsr(self):
+            return self
+
         def diagonal(self):
             return normal.diagonal()
 
@@ -241,7 +273,7 @@ def test_empty_row_raises_rank_deficiency_before_any_iteration(monkeypatch):
             return normal @ vec
 
     counting = CountingMatrix()
-    monkeypatch.setattr(op, "normal_matrix", lambda: counting)
+    monkeypatch.setattr(op, "normal_matrix", lambda axes=None: counting)
     v = DensityField(grid, np.random.default_rng(7).random(grid.num_cells))
     with pytest.raises(RankDeficiencyError, match="empty row"):
         solve_least_norm(op, v)
