@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import svdvals
 
 from .blocks import BlockSolveConfig, restrict
 from .errors import ConfigurationError, DimensionError, SizeError, UndefinedRatioError
@@ -134,6 +133,8 @@ def _dense_rank(
     if vectors:
         _, s, vh = np.linalg.svd(dense, full_matrices=True)
     else:
+        from scipy.linalg import svdvals
+
         s, vh = svdvals(dense), None
     rank = int(np.sum(s > _RANK_RTOL * s[0])) if s.size else 0
     return rank, vh
@@ -187,6 +188,8 @@ def principal_angles(op: InteriorOperator, thickness: int) -> AngleReport:
     rows, clipped into [0, 1]. mean_cosine is their average, a scalar
     summary of how much of the kernel lives near the boundary.
     """
+    from scipy.linalg import svdvals
+
     q_ker = kernel_basis_numeric(op)
     kdim = q_ker.shape[1]
     mask = boundary_mask(op.grid.shape, thickness).ravel()

@@ -9,12 +9,15 @@ are stencil sums too, so a direct solve forms no CSR matrix. Small 1-D and
 2-D systems, such as the blocks of a decomposed plane, take their rows with
 the longer interior axis outermost, so that the band is two narrow sides
 wide; the lower diagonals are copied into a LAPACK band, factored by banded
-Cholesky (pbtrf) and solved once. Large and 3-D systems are converted to CSR
-once and attacked with preconditioned conjugate gradients. On a large 1-D or
-2-D system, such as a whole 128^2 grid, the preconditioner is a
-smoothed-aggregation multigrid V-cycle: A A^T is a fourth-order operator, on
-which the iterations of diagonal scaling alone roughly quadruple with each
-mesh doubling. A 3-D system is preconditioned by the diagonal of A A^T
+Cholesky (pbtrf) and solved once. Large and 3-D systems are attacked with
+preconditioned conjugate gradients, which read the DIA matrix as it is built.
+On a large 1-D or 2-D system, such as a whole 128^2 grid, the preconditioner
+is a smoothed-aggregation multigrid V-cycle whose coarse spaces hold the
+constant and linear functions on every aggregate: A A^T is a fourth-order
+operator, on which the iterations of diagonal scaling alone roughly quadruple
+with each mesh doubling, and those of piecewise-constant aggregates double
+(201, 424 and 864 at 128^2, 256^2 and 512^2, against 43, 54 and 73 with the
+linear functions). A 3-D system is preconditioned by the diagonal of A A^T
 (Jacobi), which follows |f|^2 where advection outweighs diffusion; on the
 eight 16^3 blocks of a sampled 32^3 Rossler grid a V-cycle halves the
 iterations (1,595 to 823) but takes about six times as long. The
@@ -24,18 +27,13 @@ kernel-orthogonal move of minimal length.
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import (
-    LinAlgError,
-    cho_factor,
-    cho_solve,
-    cho_solve_banded,
-    cholesky_banded,
-)
 
 from .errors import (
     ConfigurationError,
@@ -45,6 +43,9 @@ from .errors import (
 )
 from .grids import DensityField
 from .operator import InteriorOperator
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # Largest 1-D or 2-D system factored directly, in rows times the bandwidth of
 # A A^T with the longest interior axis outermost, 2 prod(n_k-2) over all the
@@ -59,18 +60,22 @@ _DIRECT_SIZE_CAP = 2**17
 # Multigrid aggregates are blocks of 3^d cells. A A^T couples cells up to two
 # apart along an axis, and with blocks of 3 the Galerkin operator of every
 # coarser level does too, (3 - 1 + 3 * 2) // 3 = 2. With blocks of 2 the reach
-# grows 2, 3, 5, ..., and the first coarse level of the 128^2 ring holds 140 k
-# nonzeros against 35 k. A prototype with blocks of 2 peaked 7.4 MB above
-# diagonal scaling's 69.9 MB in the benchmark, where 3.5 MB is allowed. Blocks
-# of 2 take 119 iterations there, blocks of 3 take 201.
+# grows 2, 3, 5, ..., so that every coarse level is denser than the last.
+# Blocks of 4 and 5 took 89 and 135 iterations on the 128^2 ring, and
+# 126 and 211 on 256^2, where blocks of 3 take 43 and 54.
 _AGGREGATE = 3
 # The coarsest level is factored dense once it has at most this many rows. A
 # triangular solve of 300 rows takes about 60 us, less than the numpy calls of
 # one more level; of 600 rows, about 290 us.
 _COARSEST_ROWS = 300
-# The Gershgorin bound reads |M| this many rows at a time: its temporaries stay
-# near 100 KB, where one copy of M's values is 1.6 MB on the 128^2 ring.
-_STRIP_ROWS = 512
+# The smoother's omega divides by this multiple of the spectral radius of
+# D^-1 M as estimated by _POWER_STEPS steps of the power method, an estimate
+# that lies below the radius.
+_POWER_STEPS = 10
+_POWER_SAFETY = 1.1
+# Within an aggregate, a candidate whose part orthogonal to the earlier ones is
+# at most this fraction of its norm counts as dependent on them.
+_DEPENDENT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -147,6 +152,8 @@ def _direct(mat, b: np.ndarray, rel_tol: float):
     The band follows mat's own row order, so a caller that wants it narrow
     orders the rows first.
     """
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
     band = _lower_band(mat)
     # The lower form, because it is the fast one with 2 BLAS threads: on a 32^2
     # ring block (900 rows, bandwidth 60) of a 2-vCPU host, dpbtrf took about
@@ -154,7 +161,7 @@ def _direct(mat, b: np.ndarray, rel_tol: float):
     # 5.7 ms); with 1 thread both forms took about 1.05 ms.
     try:
         factor = cholesky_banded(band, overwrite_ab=True, lower=True)
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise RankDeficiencyError(
             f"banded Cholesky of the normal system failed ({exc}): the "
             "operator appears rank deficient"
@@ -170,26 +177,81 @@ def _direct(mat, b: np.ndarray, rel_tol: float):
     return x, factor.size
 
 
-def _gershgorin(mat, dinv: np.ndarray) -> float:
-    """Upper bound on the spectral radius of D^-1 M: its largest absolute
-    row sum, read from M's stored values one strip of rows at a time."""
-    bound = 0.0
-    for lo in range(0, mat.shape[0], _STRIP_ROWS):
-        strip = mat[lo : lo + _STRIP_ROWS]
-        sums = np.add.reduceat(np.abs(strip.data), strip.indptr[:-1])
-        bound = max(bound, float(np.max(sums * dinv[lo : lo + _STRIP_ROWS])))
-    return bound
+def _to_aggregates(v: np.ndarray, shape: tuple[int, ...], comps: int) -> np.ndarray:
+    """A level vector, comps unknowns per node of the grid shape in node-major
+    order, as one column per aggregate of _AGGREGATE^d nodes: (_AGGREGATE^d
+    comps, aggregates), both in C order, with zeros where an edge aggregate
+    overhangs the grid."""
+    coarse = [-(-n // _AGGREGATE) for n in shape]
+    d = len(shape)
+    full = np.zeros([_AGGREGATE * c for c in coarse] + [comps])
+    full[tuple(slice(n) for n in shape)] = v.reshape(*shape, comps)
+    full = full.reshape([x for c in coarse for x in (c, _AGGREGATE)] + [comps])
+    order = [*range(1, 2 * d, 2), 2 * d, *range(0, 2 * d, 2)]
+    return full.transpose(order).reshape(-1, math.prod(coarse))
+
+
+def _from_aggregates(t: np.ndarray, shape: tuple[int, ...], comps: int) -> np.ndarray:
+    """The level vector whose aggregates are the columns of t, the inverse of
+    _to_aggregates, with the overhang dropped."""
+    coarse = [-(-n // _AGGREGATE) for n in shape]
+    d = len(shape)
+    full = t.reshape([_AGGREGATE] * d + [comps] + coarse)
+    full = full.transpose([x for k in range(d) for x in (d + 1 + k, k)] + [d])
+    full = full.reshape([_AGGREGATE * c for c in coarse] + [comps])
+    return full[tuple(slice(n) for n in shape)].ravel()
+
+
+def _tentative(candidates: np.ndarray, shape: tuple[int, ...], comps: int):
+    """The tentative prolongator of the near-kernel candidates, the m columns
+    of candidates, on the aggregates of the grid shape.
+
+    Per aggregate, the candidates are orthonormalised by modified Gram-Schmidt
+    into q, (m, _AGGREGATE^d comps, aggregates). Their coefficients R are the
+    candidates of the coarse level, one node per aggregate with m unknowns, in
+    the same layout as candidates. A candidate that depends on the earlier ones
+    within an aggregate, as a linear function across a one-wide edge aggregate
+    does on the constant, gets a zero column in q and a zero row in R.
+    """
+    m = candidates.shape[1]
+    blocks = np.stack([_to_aggregates(c, shape, comps) for c in candidates.T])
+    q = np.zeros_like(blocks)
+    r = np.zeros((m, m, blocks.shape[2]))
+    for j in range(m):
+        v = blocks[j].copy()
+        for i in range(j):
+            r[i, j] = np.einsum("ka,ka->a", q[i], v)
+            v -= q[i] * r[i, j]
+        norm = np.sqrt(np.einsum("ka,ka->a", v, v))
+        keep = norm > _DEPENDENT * np.sqrt(np.einsum("ka,ka->a", blocks[j], blocks[j]))
+        r[j, j] = np.where(keep, norm, 0.0)
+        q[j] = np.where(keep, v / np.where(keep, norm, 1.0), 0.0)
+    return q, r.transpose(2, 0, 1).reshape(-1, m)
+
+
+def _spectral_radius(mat, dinv: np.ndarray) -> float:
+    """An estimate of the spectral radius of D^-1 M: _POWER_STEPS steps of the
+    power method from a fixed start, then the Rayleigh quotient of the last
+    iterate in the D inner product, which is at most the true radius."""
+    x = np.random.default_rng(0).random(mat.shape[0]) - 0.5
+    for _ in range(_POWER_STEPS):
+        x = dinv * (mat @ x)
+        x /= np.linalg.norm(x)
+    return float(x @ (mat @ x)) / float(x @ (x / dinv))
 
 
 @dataclass
 class _Level:
-    """One level of the smoothed-aggregation hierarchy: its operator on a
-    tensor grid and the damped Jacobi weights w = omega D^-1, which also
-    smooth its prolongator."""
+    """One level of the smoothed-aggregation hierarchy: its DIA operator on a
+    tensor grid of nodes with comps unknowns each, in node-major order, the
+    damped Jacobi weights w = omega D^-1, which also smooth its prolongator,
+    and the orthonormal tentative columns q of _tentative."""
 
-    mat: sparse.csr_matrix
+    mat: sparse.dia_matrix
     shape: tuple[int, ...]
+    comps: int
     w: np.ndarray
+    q: np.ndarray
 
     @property
     def coarse_shape(self) -> tuple[int, ...]:
@@ -205,100 +267,128 @@ class _Level:
         return x
 
     def prolong(self, xc: np.ndarray) -> np.ndarray:
-        """P xc = (I - W M) T xc, with T the piecewise-constant prolongator of
-        the blocks of _AGGREGATE^d cells (the last along an axis holds the
-        remainder), applied by broadcasting."""
-        coarse = self.coarse_shape
-        t = np.broadcast_to(
-            xc.reshape([v for c in coarse for v in (c, 1)]),
-            [v for c in coarse for v in (c, _AGGREGATE)],
-        ).reshape([_AGGREGATE * c for c in coarse])
-        t = t[tuple(slice(n) for n in self.shape)].ravel()
+        """P xc = (I - W M) T xc, T applying each aggregate's columns q to its
+        coarse node's unknowns."""
+        xc = np.ascontiguousarray(xc.reshape(-1, len(self.q)).T)
+        t = _from_aggregates(np.einsum("cka,ca->ka", self.q, xc), self.shape, self.comps)
         q = self.mat @ t
         q *= self.w
         t -= q
         return t
 
     def restrict(self, r: np.ndarray) -> np.ndarray:
-        """P^T r = T^T (r - M W r), T^T summing each block by a reshape."""
-        coarse = self.coarse_shape
+        """P^T r = T^T (r - M W r)."""
         q = self.mat @ (self.w * r)
         np.subtract(r, q, out=q)
-        full = np.zeros([_AGGREGATE * c for c in coarse])
-        full[tuple(slice(n) for n in self.shape)] = q.reshape(self.shape)
-        blocks = full.reshape([v for c in coarse for v in (c, _AGGREGATE)])
-        return blocks.sum(axis=tuple(range(1, 2 * len(coarse), 2))).ravel()
+        blocks = _to_aggregates(q, self.shape, self.comps)
+        return np.einsum("cka,ka->ac", self.q, blocks).ravel()
 
 
-def _galerkin(lvl: _Level, radius: int) -> sparse.csr_matrix:
-    """P^T M P on lvl's coarse grid, whose couplings reach at most radius cells
-    along each axis, found by probing.
+def _galerkin(lvl: _Level, radius: int):
+    """P^T M P on lvl's coarse grid as a DIA matrix, its couplings reaching at
+    most radius nodes along each axis, found by probing.
 
-    Coarse cells are coloured by their indices modulo 2 radius + 1, so the
-    product with the sum of one colour's unit vectors holds, in each row, the
-    one entry of that colour. The entries are gathered per row and offset;
-    those below the diagonal are then copied from their mirror images, so the
-    result is exactly symmetric.
+    Coarse nodes are coloured by their indices modulo 2 radius + 1, so the
+    product with the sum of one colour's unit vectors in one component holds,
+    in each row, the entry in that component of the one node of that colour
+    it couples to. Each is written straight into its diagonal. The diagonals
+    below the main one are then copies of their mirrors, so the result is
+    exactly symmetric. An unknown whose tentative column was dropped couples
+    to nothing and gets a unit diagonal.
     """
+    from scipy import sparse
+
     shape = lvl.coarse_shape
+    m = len(lvl.q)
     width = 2 * radius + 1
     box = (width,) * len(shape)
     cells = np.indices(shape).reshape(len(shape), -1)
     offsets = np.indices(box).reshape(len(shape), -1) - radius
     n, k = cells.shape[1], offsets.shape[1]
     inside = np.ones((n, k), dtype=bool)
-    for c, o, m in zip(cells, offsets, shape):
-        inside &= (c[:, None] + o >= 0) & (c[:, None] + o < m)
-    strides = [int(np.prod(shape[a + 1 :])) for a in range(len(shape))]
-    rows = np.arange(n)[:, None]
-    flat = np.where(inside, rows + strides @ offsets, rows).astype(np.int32)
+    for c, o, s in zip(cells, offsets, shape):
+        inside &= (c[:, None] + o >= 0) & (c[:, None] + o < s)
+    shift = np.array([math.prod(shape[a + 1 :]) for a in range(len(shape))]) @ offsets
+    comp = np.arange(m)
+    # the flat diagonal of row component c and column component c' at offset o
+    flat = m * shift[:, None, None] + comp - comp[:, None]
+    diagonals = np.unique(flat[inside.any(axis=0)])
+    where = np.searchsorted(diagonals, flat)
+    size = n * m
+    data = np.zeros((len(diagonals), size))
     colours = np.ravel_multi_index(cells % width, box)
-    table = np.zeros((n, k))
     for colour in range(k):
-        probe = lvl.restrict(lvl.mat @ lvl.prolong((colours == colour).astype(float)))
         target = np.array(np.unravel_index(colour, box))[:, None]
-        table[rows[:, 0], np.ravel_multi_index((target - cells + radius) % width, box)] = probe
-    # offsets are in lexicographic order, so offset j mirrors offset k - 1 - j
-    lower = np.arange(k // 2)
-    table[:, lower] = np.where(inside[:, lower], table[flat[:, lower], k - 1 - lower], 0.0)
-    keep = inside & (table != 0.0)
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    return sparse.csr_matrix((table[keep], flat[keep], indptr), shape=(n, n))
+        o = np.ravel_multi_index((target - cells + radius) % width, box)
+        rows = np.flatnonzero(inside[np.arange(n), o])
+        o = o[rows]
+        # where each row's entries go in data, flattened, per column component
+        slots = where[o] * size + (m * (rows + shift[o]))[:, None, None] + comp
+        for c in range(m):
+            e = np.zeros((n, m))
+            e[colours == colour, c] = 1.0
+            probe = lvl.restrict(lvl.mat @ lvl.prolong(e.ravel())).reshape(n, m)
+            data.reshape(-1)[slots[:, :, c]] = probe[rows]
+    zero = int(np.searchsorted(diagonals, 0))
+    for j, f in enumerate(diagonals[:zero]):
+        data[j, : size + f] = data[np.searchsorted(diagonals, -f), -f:]
+    nodes, parts = np.nonzero(~lvl.q.any(axis=1).T)
+    data[zero, m * nodes + parts] = 1.0
+    return sparse.dia_matrix((data, diagonals), shape=(size, size))
 
 
 def _vcycle(mat, dinv: np.ndarray, shape: tuple[int, ...]):
-    """The symmetric V-cycle z = B r of smoothed aggregation (Vanek, Mandel and
-    Brezina, Computing 56, 1996), as a function.
+    """The symmetric V-cycle z = B r of smoothed aggregation with linear
+    candidates (Vanek, Mandel and Brezina, Computing 56, 1996; Vanek, Brezina
+    and Mandel, Numer. Math. 88, 2001), as a function.
 
     mat is a stencil system on the tensor grid shape whose couplings reach at
     most two cells along each axis, as every normal matrix A A^T of the
-    interior operator's nearest-neighbour stencil does. Each level aggregates
-    blocks of _AGGREGATE^d cells into the tentative prolongator T, smooths it
-    by one Jacobi step, P = (I - omega D^-1 M) T with omega = 4 / (3 lambda)
-    and lambda the Gershgorin bound on D^-1 M, and passes P^T M P down. P is
-    never stored: T is a reshape and its smoothing one product with M. Levels
-    are built until at most _COARSEST_ROWS rows remain, which are factored by
-    dense Cholesky. The cycle runs two damped Jacobi steps, with the same
-    omega, before and after the coarse correction and restricts by P^T, so B
-    is symmetric, and positive definite since omega lambda = 4/3 < 2.
+    interior operator's nearest-neighbour stencil does. A A^T is a
+    fourth-order operator, so linear functions are near its kernel as well as
+    constants: the candidates are 1 and the d coordinates. Each level
+    orthonormalises them on blocks of _AGGREGATE^d nodes into the tentative
+    prolongator T (_tentative), whose coefficients are the candidates of the
+    next level, where every node carries d + 1 unknowns. T is smoothed by one
+    Jacobi step, P = (I - omega D^-1 M) T with omega = 4 / (3 lambda), and
+    P^T M P passes down. lambda is _POWER_SAFETY times a power-method estimate
+    of the spectral radius of D^-1 M: on the 128^2 ring's first coarse level
+    the Gershgorin bound reads 3.96 where the radius is 2.16, and smoothing
+    with it took the cycle from 43 to 100 iterations. P is never stored: T is
+    a per-aggregate array applied by reshapes, and its smoothing one product
+    with M. Levels are built until at most _COARSEST_ROWS rows remain, which
+    are factored by dense Cholesky. The cycle runs two damped Jacobi steps,
+    with the same omega, before and after the coarse correction and restricts
+    by P^T, so B is symmetric, and positive definite while omega times the
+    true radius stays below 2; _cg checks that it does.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     levels = []
     radius = 2
+    comps = 1
+    d = len(shape)
+    # 1 and the coordinates, centred on the grid to keep the Gram-Schmidt
+    # differences small
+    centred = np.indices(shape).reshape(d, -1).T - (np.array(shape) - 1) / 2
+    candidates = np.column_stack([np.ones(mat.shape[0]), centred])
     try:
         while mat.shape[0] > _COARSEST_ROWS:
-            lvl = _Level(mat, shape, (4.0 / (3.0 * _gershgorin(mat, dinv))) * dinv)
+            omega = 4.0 / (3.0 * _POWER_SAFETY * _spectral_radius(mat, dinv))
+            q, candidates = _tentative(candidates, shape, comps)
+            lvl = _Level(mat, shape, comps, omega * dinv, q)
             levels.append(lvl)
-            # P reaches radius cells past a block, so two coarse cells couple
-            # when their blocks lie within 3 radius fine cells of each other
+            # P reaches radius nodes past a block, so two coarse nodes couple
+            # when their blocks lie within 3 radius fine nodes of each other
             radius = (_AGGREGATE - 1 + 3 * radius) // _AGGREGATE
             mat = _galerkin(lvl, radius)
-            shape = lvl.coarse_shape
+            shape, comps = lvl.coarse_shape, d + 1
             diag = mat.diagonal()
             if not np.all(diag > 0.0):
-                raise LinAlgError("non-positive diagonal entry")
+                raise np.linalg.LinAlgError("non-positive diagonal entry")
             dinv = 1.0 / diag
         factor = cho_factor(mat.toarray(), overwrite_a=True)
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise RankDeficiencyError(
             f"a coarse level of the multigrid preconditioner is not positive "
             f"definite ({exc}): the operator appears rank deficient"
@@ -306,16 +396,17 @@ def _vcycle(mat, dinv: np.ndarray, shape: tuple[int, ...]):
     # a module-level _cycle, not a closure that calls itself: such a closure
     # is a reference cycle, and each solve's hierarchy would stay in memory
     # until the cycle collector ran (141 MB peak on the 128^2 benchmark)
-    return lambda r: _cycle(levels, factor, r)
+    coarsest = functools.partial(cho_solve, factor)
+    return lambda r: _cycle(levels, coarsest, r)
 
 
-def _cycle(levels: list[_Level], factor, b: np.ndarray) -> np.ndarray:
-    """One V-cycle from the finest of levels down to the factored coarsest."""
+def _cycle(levels: list[_Level], coarsest, b: np.ndarray) -> np.ndarray:
+    """One V-cycle from the finest of levels down to the coarsest solve."""
     if not levels:
-        return cho_solve(factor, b)
+        return coarsest(b)
     lvl = levels[0]
     x = lvl.smooth(b, lvl.w * b, 1)
-    correction = _cycle(levels[1:], factor, lvl.restrict(b - lvl.mat @ x))
+    correction = _cycle(levels[1:], coarsest, lvl.restrict(b - lvl.mat @ x))
     x += lvl.prolong(correction)
     return lvl.smooth(b, x, 2)
 
@@ -335,7 +426,10 @@ def _cg(
     preconditioner is the smoothed-aggregation V-cycle of _vcycle; on a 3-D
     grid, or with no shape, it is the diagonal (Jacobi), since on 3-D blocks
     the V-cycle's set-up and extra products cost more than the iterations it
-    saves. A non-positive diagonal raises before the preconditioner is built.
+    saves. A non-positive diagonal raises before the preconditioner is built,
+    and a preconditioned residual with r.z <= 0 raises too: the V-cycle's
+    smoother rests on an estimated spectral radius, so its positivity is
+    checked where it is used.
     """
     norm_tol, inf_tol = _tolerances(b, rel_tol)
     diag = mat.diagonal()
@@ -346,16 +440,25 @@ def _cg(
         )
     dinv = 1.0 / diag
     if shape is not None and len(shape) <= 2:
-        precondition = _vcycle(mat, dinv, shape)
+        name, vcycle = "multigrid V-cycle", _vcycle(mat, dinv, shape)
     else:
-        def precondition(r):
-            return dinv * r
+        name, vcycle = "Jacobi", None
+
+    def precondition(r):
+        z = dinv * r if vcycle is None else vcycle(r)
+        rz = float(r @ z)
+        if rz <= 0.0 and r.any():
+            raise RankDeficiencyError(
+                f"the {name} preconditioner is not positive definite "
+                f"(r.z = {rz:.3e})"
+            )
+        return z, rz
+
     x = np.zeros_like(b)
     r = b.copy()
-    z = precondition(r)
+    z, rz = precondition(r)
     p = z.copy()
     step = np.empty_like(b)
-    rz = float(r @ z)
     history = [float(np.sqrt(r @ r))]
 
     def converged() -> bool:
@@ -380,8 +483,7 @@ def _cg(
         x += np.multiply(p, alpha, out=step)
         r -= np.multiply(q, alpha, out=step)
         history.append(float(np.sqrt(r @ r)))
-        z = precondition(r)
-        rz_new = float(r @ z)
+        z, rz_new = precondition(r)
         p *= rz_new / rz
         p += z
         rz = rz_new
@@ -425,8 +527,6 @@ def solve_least_norm(
         x, factor_nnz = _direct(normal, b_band, opts.cg_rel_tol)
         y = x.reshape([shape[k] for k in axes]).transpose(np.argsort(axes)).ravel()
     else:
-        # CG and the V-cycle read CSR; the DIA goes before the hierarchy is built
-        normal = normal.tocsr()
         max_iters = opts.cg_max_iters
         if max_iters is None:
             max_iters = 10 * b.size

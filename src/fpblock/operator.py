@@ -18,13 +18,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigurationError, DimensionError
 from .grids import Grid
 from .models import ModelSpec
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 def _stencil(d: int) -> list[tuple[int, ...]]:
@@ -98,6 +101,8 @@ class InteriorOperator:
     def matrix(self) -> sparse.csr_matrix:
         """A as a CSR matrix, built on first use: each row holds its 2d + 1
         stencil entries in increasing column order."""
+        from scipy import sparse
+
         width, rows = len(self.coefficients), self.shape[0]
         cells = np.arange(self.grid.num_cells).reshape(self.grid.n)
         cols = np.stack([cells[c].ravel() for c in _cells(self.grid.n)], axis=1)
@@ -115,6 +120,8 @@ class InteriorOperator:
         so every entry is rounded as in the CSR product A A^T, which is
         exactly symmetric; the diagonals above are copies of their mirrors.
         """
+        from scipy import sparse
+
         axes = tuple(range(self.grid.dim)) if axes is None else tuple(axes)
         shape = tuple(self.interior_shape[k] for k in axes)
         products, offsets, mirrors = _normal_plan(shape, axes)

@@ -97,18 +97,39 @@ def test_ring_density_integrates_to_one():
 
 def test_import_needs_no_quadrature_or_optimizer():
     # K is closed form, so importing the package and its CLI pulls in
-    # neither scipy.integrate nor the scipy.optimize it drags along; block
-    # systems are factored by scipy.linalg's banded Cholesky, so neither
-    # does it pull in scipy.sparse.linalg
+    # neither scipy.integrate nor the scipy.optimize it drags along; the
+    # solvers and the analysis import scipy where they factor, build a sparse
+    # matrix or take singular values, so importing loads no scipy module at all
     code = (
         "import sys, fpblock, fpblock.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.optimize', "
-        "'scipy.sparse.linalg') if m in sys.modules])"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_sampling_loads_no_scipy(tmp_path):
+    # fpblock sample bins chains and writes files; it never factors or builds
+    # a sparse matrix, so it runs without importing scipy
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "model = ring\ngrid.lo = -2,-2\ngrid.hi = 2,2\ngrid.n = 16,16\n"
+        "sampler.samples = 2000\nsampler.burn_in = 100\nsampler.chains = 2\n"
+        "sampler.seed = 3\n"
+    )
+    out = tmp_path / "ring.fphist"
+    code = (
+        "import sys; from fpblock.cli import main; "
+        f"assert main(['sample', '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert out.exists()
 
 
 def test_ring_density_radial_symmetry():
