@@ -12,7 +12,7 @@ coordinate subspaces quantify that concentration.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,9 @@ from .grids import BlockPartition, DensityField, Grid
 from .leastnorm import SolveOptions
 from .models import ModelSpec
 from .operator import InteriorOperator
-from .repair import DEFAULT_SHIFT_SCHEDULE, METHODS, method_halo, solve_method
+from .repair import (
+    DEFAULT_SHIFT_SCHEDULE, METHODS, method_halo, shifted_partitions, solve_method,
+)
 from .sampler import SamplerConfig, accumulate_histogram, histogram_to_density
 
 _SVD_COLS_CAP = 4096
@@ -276,21 +278,21 @@ def convergence_study(
     block_cells: int = 32,
     iota: int = 1,
     schedule: tuple[float, ...] = DEFAULT_SHIFT_SCHEDULE,
-    dt: float = 0.002,
-    burn_in: int = 100_000,
-    n_chains: int = 16,
-    seed: int = 0,
+    sampler: SamplerConfig = SamplerConfig(n_samples=0),
     solve_opts: SolveOptions | None = None,
 ) -> list[dict]:
     """Errors and timings of the estimators across mesh refinements.
 
     For each mesh size N the model is sampled once on the iota-inflated
-    grid with round(samples_per_cell * N^d) retained states, and every
-    requested method is evaluated against the exact density: "mc" is the
-    raw histogram on the core grid, and every other name is one of the
-    methods of repair.solve_method. Blocks are block_cells wide,
-    so the block count grows with N. Returns one row per (N, method) with
-    keys n, method, samples, l2, h1, wall_time.
+    grid with every setting of sampler except two: n_samples is ignored
+    in favour of round(samples_per_cell * N^d) retained states, and the
+    seed is offset to sampler.seed + N. Every requested method is then
+    evaluated against the exact density: "mc" is the raw histogram on the
+    core grid, and every other name is one of the methods of
+    repair.solve_method. Blocks are block_cells wide, so the block count
+    grows with N. Every mesh size and partition, shifted ones included,
+    is checked before the first sample is drawn. Returns one row per
+    (N, method) with keys n, method, samples, l2, h1, wall_time.
     """
     known = {"mc", *METHODS}
     bad = set(methods) - known
@@ -301,34 +303,31 @@ def convergence_study(
     if solve_opts is None:
         solve_opts = SolveOptions()
     halo = method_halo(methods, iota)
-    rows: list[dict] = []
     dim = model.dim
+    partitions = []
     for n_cells in mesh_sizes:
         if n_cells % block_cells != 0:
             raise ConfigurationError(
                 f"mesh size {n_cells} is not a multiple of the block size {block_cells}"
             )
         grid = Grid(lo, hi, (n_cells,) * dim)
+        partitions.append(BlockPartition(grid, (n_cells // block_cells,) * dim))
+        if "shift" in methods:
+            shifted_partitions(partitions[-1], schedule)
+    rows: list[dict] = []
+    for n_cells, partition in zip(mesh_sizes, partitions):
+        grid = partition.grid
         n_samples = int(round(samples_per_cell * n_cells**dim))
         t0 = time.perf_counter()
         hist = accumulate_histogram(
             model,
             grid.inflate(halo),
-            SamplerConfig(
-                n_samples=n_samples,
-                dt=dt,
-                burn_in=burn_in,
-                n_chains=n_chains,
-                seed=seed + n_cells,
-            ),
+            replace(sampler, n_samples=n_samples, seed=sampler.seed + n_cells),
         )
         sample_time = time.perf_counter() - t0
         v = histogram_to_density(hist)
         exact_field = DensityField.from_function(grid, exact)
-        blocks = tuple(n_cells // block_cells for _ in range(dim))
-        cfg = BlockSolveConfig(
-            partition=BlockPartition(grid=grid, blocks=blocks), solve=solve_opts
-        )
+        cfg = BlockSolveConfig(partition=partition, solve=solve_opts)
         for method in methods:
             if method == "mc":
                 fld = restrict(v, tuple((halo, halo + m) for m in grid.n))

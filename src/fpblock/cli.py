@@ -29,13 +29,9 @@ from .blocks import BlockSolveConfig, worst_residual
 from .config import RunConfig, _parse_ints, apply_overrides, parse_config
 from .errors import (
     ConfigurationError,
-    DivergenceError,
-    EmptyHistogramError,
     FormatError,
     FpblockError,
-    NonConvergenceError,
-    RankDeficiencyError,
-    SizeError,
+    NumericalError,
     UndefinedRatioError,
 )
 from .grids import BlockPartition, DensityField, Grid
@@ -55,15 +51,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-_NUMERIC_ERRORS = (
-    DivergenceError,
-    NonConvergenceError,
-    RankDeficiencyError,
-    SizeError,
-    EmptyHistogramError,
-    UndefinedRatioError,
-)
 
 
 # Flags that are other spellings of config keys: (argparse dest, key).
@@ -105,11 +92,8 @@ def _solve_options(cfg: RunConfig) -> SolveOptions:
     )
 
 
-def cmd_sample(args) -> int:
-    cfg = _load_config(args)
-    model = _model(cfg)
-    grid = _core_grid(cfg).inflate(cfg.inflate)
-    scfg = SamplerConfig(
+def _sampler(cfg: RunConfig) -> SamplerConfig:
+    return SamplerConfig(
         n_samples=cfg.samples,
         dt=cfg.dt,
         burn_in=cfg.burn_in,
@@ -118,26 +102,49 @@ def cmd_sample(args) -> int:
         initial=cfg.initial,
         on_escape=cfg.on_escape,
     )
+
+
+# One sidecar record per kind of setting, so each command keys a setting alike.
+def _record(command: str, model: ModelSpec, grid: Grid | None = None) -> dict:
+    record = {"command": command, "model": model.name, "epsilon": model.epsilon}
+    if grid is not None:
+        record.update(grid_n=list(grid.n), grid_lo=list(grid.lo), grid_hi=list(grid.hi))
+    return record
+
+
+def _sampler_record(cfg: RunConfig, model: ModelSpec) -> dict:
+    return {
+        "dt": cfg.dt,
+        "burn_in": cfg.burn_in,
+        "chains": cfg.chains,
+        "seed": cfg.seed,
+        "initial": list(start_point(model, cfg.initial)),
+        "on_escape": cfg.on_escape,
+    }
+
+
+def _solver_record(cfg: RunConfig, methods: tuple[str, ...]) -> dict:
+    return {
+        **method_settings(methods, cfg.iota, cfg.schedule),
+        "cg_rel_tol": cfg.cg_rel_tol,
+        "cg_max_iters": cfg.cg_max_iters,
+    }
+
+
+def cmd_sample(args) -> int:
+    cfg = _load_config(args)
+    model = _model(cfg)
+    grid = _core_grid(cfg).inflate(cfg.inflate)
     t0 = time.perf_counter()
-    hist = accumulate_histogram(model, grid, scfg)
+    hist = accumulate_histogram(model, grid, _sampler(cfg))
     wall = time.perf_counter() - t0
     fileio.write_histogram(hist, args.out)
     fileio.write_sidecar(
         args.out,
         {
-            "command": "sample",
-            "model": model.name,
-            "epsilon": model.epsilon,
-            "grid_n": list(grid.n),
-            "grid_lo": list(grid.lo),
-            "grid_hi": list(grid.hi),
+            **_record("sample", model, grid),
             "inflate": cfg.inflate,
-            "dt": cfg.dt,
-            "burn_in": cfg.burn_in,
-            "chains": cfg.chains,
-            "seed": cfg.seed,
-            "initial": list(start_point(model, cfg.initial)),
-            "on_escape": cfg.on_escape,
+            **_sampler_record(cfg, model),
             "samples_retained": hist.total_retained,
             "samples_in_domain": hist.in_domain,
             "restarts": hist.restarts,
@@ -174,17 +181,10 @@ def cmd_solve(args) -> int:
     fileio.write_sidecar(
         args.out,
         {
-            "command": "solve",
-            "model": model.name,
-            "epsilon": model.epsilon,
-            "grid_n": list(core.n),
-            "grid_lo": list(core.lo),
-            "grid_hi": list(core.hi),
+            **_record("solve", model, core),
             "method": cfg.method,
             "blocks": list(cfg.blocks),
-            **method_settings((cfg.method,), cfg.iota, cfg.schedule),
-            "cg_rel_tol": cfg.cg_rel_tol,
-            "cg_max_iters": cfg.cg_max_iters,
+            **_solver_record(cfg, (cfg.method,)),
             "renormalized": cfg.renormalize,
             "num_block_solves": len(all_reports),
             "total_cg_iterations": int(sum(r.solve.iterations for r in all_reports)),
@@ -235,7 +235,7 @@ def cmd_errors(args) -> int:
             )
         model = _model(cfg)
         ref = DensityField.from_function(fld.grid, ring_exact_density(model.epsilon))
-        meta.update(model=model.name, epsilon=model.epsilon)
+        meta.update(_record("errors", model))
     else:
         ref = fileio.read_field(args.reference)
         if ref.grid != fld.grid:
@@ -340,10 +340,7 @@ def cmd_convergence(args) -> int:
         block_cells=args.block_cells,
         iota=cfg.iota,
         schedule=cfg.schedule,
-        dt=cfg.dt,
-        burn_in=cfg.burn_in,
-        n_chains=cfg.chains,
-        seed=cfg.seed,
+        sampler=_sampler(cfg),
         solve_opts=_solve_options(cfg),
     )
     names = ["n", "method", "samples", "l2", "h1", "wall_time"]
@@ -351,22 +348,15 @@ def cmd_convergence(args) -> int:
     fileio.write_sidecar(
         args.out,
         {
-            "command": "convergence",
-            "model": model.name,
-            "epsilon": model.epsilon,
+            **_record("convergence", model),
             "grid_lo": list(cfg.grid_lo),
             "grid_hi": list(cfg.grid_hi),
             "mesh_sizes": list(mesh_sizes),
             "methods": list(methods),
             "samples_per_cell": args.samples_per_cell,
             "block_cells": args.block_cells,
-            **method_settings(methods, cfg.iota, cfg.schedule),
-            "dt": cfg.dt,
-            "burn_in": cfg.burn_in,
-            "chains": cfg.chains,
-            "seed": cfg.seed,
-            "cg_rel_tol": cfg.cg_rel_tol,
-            "cg_max_iters": cfg.cg_max_iters,
+            **_sampler_record(cfg, model),
+            **_solver_record(cfg, methods),
         },
     )
     for row in rows:
@@ -452,7 +442,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERIC_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (FormatError, OSError) as exc:

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration problems exit with 2,
-numerical failures with 3, and file-format or I/O problems with 4.
+numerical failures (NumericalError and its subclasses) with 3, and
+file-format or I/O problems with 4. Any other FpblockError exits with 3.
 """
 
 from __future__ import annotations
@@ -19,7 +20,11 @@ class DimensionError(ConfigurationError):
     """Operands whose shapes or grids do not line up."""
 
 
-class DivergenceError(FpblockError):
+class NumericalError(FpblockError):
+    """Base class of the failures the CLI reports as numerical (exit 3)."""
+
+
+class DivergenceError(NumericalError):
     """A trajectory left the safety box or produced a non-finite state."""
 
     def __init__(self, message: str, chain: int | None = None, step: int | None = None):
@@ -28,7 +33,7 @@ class DivergenceError(FpblockError):
         self.step = step
 
 
-class NonConvergenceError(FpblockError):
+class NonConvergenceError(NumericalError):
     """An iterative solve hit its iteration cap before reaching tolerance."""
 
     def __init__(self, message: str, residual_history=None):
@@ -36,22 +41,22 @@ class NonConvergenceError(FpblockError):
         self.residual_history = residual_history
 
 
-class RankDeficiencyError(FpblockError):
+class RankDeficiencyError(NumericalError):
     """Breakdown of the normal-equations solve (an empty row of A, non-positive
     CG curvature, or a sparse factorization that fails or misses its residual
     bound).
     """
 
 
-class SizeError(FpblockError):
+class SizeError(NumericalError):
     """A dense computation was requested beyond its supported size cap."""
 
 
-class EmptyHistogramError(FpblockError):
+class EmptyHistogramError(NumericalError):
     """No retained sample fell inside the domain."""
 
 
-class UndefinedRatioError(FpblockError):
+class UndefinedRatioError(NumericalError):
     """A ratio diagnostic was requested on an identically zero field."""
 
 

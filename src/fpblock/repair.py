@@ -68,18 +68,23 @@ def solve_shifting(
     Returns:
         The final field and the reports of every round, round-major.
     """
-    base = cfg.partition
-    # built and enumerated up front, so that a fraction out of range or one
-    # that leaves an edge block too narrow fails before any solve
-    shifted = [replace(base, shift=(s,) * base.grid.dim) for s in schedule]
-    for part in shifted:
-        enumerate_blocks(part)
+    shifted = shifted_partitions(cfg.partition, schedule)
     current, reports = solve_blocks(model, v, cfg)
     rounds = [reports]
     for part in shifted:
         current, reports = solve_blocks(model, current, replace(cfg, partition=part))
         rounds.append(reports)
     return current, rounds
+
+
+def shifted_partitions(base: BlockPartition, schedule) -> list[BlockPartition]:
+    """The partitions of the shift rounds after round zero, each enumerated so
+    that a fraction out of range or too narrow an edge block fails early.
+    """
+    shifted = [replace(base, shift=(s,) * base.grid.dim) for s in schedule]
+    for part in shifted:
+        enumerate_blocks(part)
+    return shifted
 
 
 def solve_method(

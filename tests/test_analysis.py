@@ -5,6 +5,7 @@ from fpblock import (
     ConfigurationError,
     DensityField,
     Grid,
+    SamplerConfig,
     UndefinedRatioError,
     assemble,
     boundary_mask,
@@ -258,8 +259,7 @@ def test_convergence_study_row_structure():
         methods=("mc", "plain", "overlap", "shift"),
         samples_per_cell=40.0,
         block_cells=16,
-        burn_in=2_000,
-        seed=11,
+        sampler=SamplerConfig(n_samples=0, burn_in=2_000, seed=11),
     )
     assert [r["method"] for r in rows] == ["mc", "plain", "overlap", "shift"]
     # oracle values: a refactor of the solve path must reproduce them to 1e-12
@@ -285,9 +285,8 @@ def test_convergence_study_samples_rule():
         mesh_sizes=(16, 32),
         methods=("mc",),
         samples_per_cell=390.625,
-        burn_in=1_000,
         block_cells=8,
-        seed=1,
+        sampler=SamplerConfig(n_samples=0, burn_in=1_000, seed=1),
     )
     assert rows[0]["samples"] == 100_000
     assert rows[1]["samples"] == 400_000

@@ -2,12 +2,16 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fpblock.analysis
 import fpblock.blocks
+import fpblock.cli
+import fpblock.errors
+from fpblock.config import _KEYS
 from fpblock import (
     BlockPartition,
     BlockSolveConfig,
@@ -39,6 +43,17 @@ from fpblock.cli import main
 def test_defaults_round_trip():
     cfg = RunConfig()
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration keys", 1)[1]
+    block = section.split("```", 2)[1]
+    listed = []
+    for line in block.splitlines():
+        if line.strip() and not line[0].isspace():  # skip continuation lines
+            listed += line.split("  ", 1)[0].strip().split(", ")
+    assert listed == list(_KEYS)
 
 
 def test_round_trip_with_overrides():
@@ -443,6 +458,48 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _raise(exc):
+    def command(args):
+        raise exc
+
+    return command
+
+
+_EXIT_OF = {
+    "ConfigurationError": (2, "configuration error"),
+    "DimensionError": (2, "configuration error"),
+    "FormatError": (4, "i/o error"),
+    "DivergenceError": (3, "numerical failure"),
+    "NonConvergenceError": (3, "numerical failure"),
+    "RankDeficiencyError": (3, "numerical failure"),
+    "SizeError": (3, "numerical failure"),
+    "EmptyHistogramError": (3, "numerical failure"),
+    "UndefinedRatioError": (3, "numerical failure"),
+    "CollageError": (3, "error"),
+}
+
+
+def test_exit_code_table_covers_every_error_class():
+    def subclasses(cls):
+        return [c for sub in cls.__subclasses__() for c in (sub, *subclasses(sub))]
+
+    raised = {c.__name__ for c in subclasses(fpblock.errors.FpblockError)}
+    # NumericalError is only the parent the CLI catches; nothing raises it
+    assert raised - {"NumericalError"} == set(_EXIT_OF)
+
+
+@pytest.mark.parametrize("name", [*_EXIT_OF, "OSError"])
+def test_cli_maps_each_error_onto_its_exit_code(name, tmp_path, capsys, monkeypatch):
+    if name == "OSError":
+        exc, (code, label) = OSError("disk gone"), (4, "i/o error")
+    else:
+        exc, (code, label) = getattr(fpblock.errors, name)("boom"), _EXIT_OF[name]
+    monkeypatch.setattr(fpblock.cli, "cmd_sample", _raise(exc))
+    assert main(["sample", "--out", str(tmp_path / "x.fphist")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{label}: ")
+
+
 def test_cli_sample_sidecar_tells_start_points_apart(tmp_path, capsys):
     settings = {"sampler.samples": "400", "sampler.burn_in": "10"}
     metas = []
@@ -597,6 +654,38 @@ def test_unknown_convergence_method_fails_before_sampling(tmp_path, capsys, monk
                  "--methods", "mc,bogus", "--block-cells", "16", "--out", str(out)])
     assert code == 2
     assert "bogus" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mesh, block_cells, methods, match",
+    [
+        ("32,40", 16, "mc,plain", "mesh size 40"),
+        ("32", 4, "mc,plain", "block size 4 < 5"),
+        ("30", 5, "mc,shift", "only 2 cells wide"),
+    ],
+    ids=["uneven-second-mesh", "blocks-too-small", "shift-too-fine"],
+)
+def test_convergence_checks_every_mesh_before_sampling(
+    tmp_path, capsys, monkeypatch, mesh, block_cells, methods, match
+):
+    calls = []
+    monkeypatch.setattr(fpblock.analysis, "accumulate_histogram",
+                        lambda *a, **k: calls.append(1))
+    with pytest.raises(ConfigurationError, match=match):
+        fpblock.analysis.convergence_study(
+            ring_model(), ring_exact_density(), (-2.0, -2.0), (2.0, 2.0),
+            tuple(int(n) for n in mesh.split(",")), methods=tuple(methods.split(",")),
+            block_cells=block_cells,
+        )
+    cfg = _write_tiny_config(tmp_path / "run.cfg")
+    out = tmp_path / "conv.csv"
+    code = main(["convergence", "--config", str(cfg), "--mesh", mesh,
+                 "--methods", methods, "--block-cells", str(block_cells),
+                 "--out", str(out)])
+    assert code == 2
+    assert match in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
 
