@@ -1,11 +1,14 @@
 """Domain decomposition: solve the least-norm problem block by block.
 
-Each block gets its own grid that keeps the global physical coordinates, its
-own interior operator, and its own least-norm solve against the restriction
-of the reference. A block may be widened by a halo of iota cells per side,
-of which only the core cells are kept. The per-block solutions are then
-collaged back into one field. Failure of any block fails the whole solve;
-there is no partial output to mistake for a converged field.
+Each block gets its own grid that keeps the global physical coordinates and
+its own least-norm solve against the restriction of the reference. Its
+interior operator is a window of the one operator assembled on the whole
+partitioned grid: a block's interior rows are rows of that grid, and their
+stencils never leave the block, so the drift is evaluated once per partition
+rather than once per block. A block may be widened by a halo of iota cells
+per side, of which only the core cells are kept. The per-block solutions are
+then collaged back into one field. Failure of any block fails the whole
+solve; there is no partial output to mistake for a converged field.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .errors import CollageError, DimensionError
 from .grids import BlockPartition, DensityField, Grid, enumerate_blocks
 from .leastnorm import SolveOptions, SolveReport, solve_least_norm
 from .models import ModelSpec
-from .operator import assemble
+from .operator import InteriorOperator, assemble
 
 Ranges = tuple[tuple[int, int], ...]
 
@@ -76,6 +79,11 @@ def solve_blocks(
     grid inflated by iota cells per side; each block is solved on its core
     range widened by iota cells, and only the core cells are kept. iota = 0
     is the plain block solve; a negative iota raises ConfigurationError.
+
+    The operator is assembled once, on v's grid, before any block is solved,
+    so a drift that is not finite at any cell an interior row of that grid
+    reads raises ConfigurationError even where no block reads it (the
+    interior corners of blocks). Each block solves on the window of its rows.
     """
     expected = cfg.partition.grid.inflate(iota)
     if v.grid != expected:
@@ -83,11 +91,16 @@ def solve_blocks(
             f"reference grid {v.grid.n} is not the partitioned grid inflated by "
             f"iota={iota}, {expected.n}; sample with matching inflation"
         )
+    whole = assemble(model, v.grid)
     pieces = []
     reports = []
     for block in enumerate_blocks(cfg.partition):
-        local = restrict(v, tuple((a, b + 2 * iota) for a, b in block.core))
-        u_loc, rep = solve_least_norm(assemble(model, local.grid), local, cfg.solve)
+        ranges = tuple((a, b + 2 * iota) for a, b in block.core)
+        local = restrict(v, ranges)
+        # interior row r of the block is interior row r + a of v's grid
+        rows = (slice(None), *(slice(a, b - 2) for a, b in ranges))
+        op = InteriorOperator(local.grid, model, whole.coefficients[rows])
+        u_loc, rep = solve_least_norm(op, local, cfg.solve)
         core = tuple(slice(iota, m - iota) for m in local.grid.n)
         pieces.append((block.core, u_loc.reshaped()[core]))
         reports.append(BlockReport(index=block.index, cells=block.core, solve=rep))

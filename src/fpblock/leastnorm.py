@@ -9,8 +9,9 @@ are stencil sums too, so a direct solve forms no CSR matrix. Small 1-D and
 2-D systems, such as the blocks of a decomposed plane, take their rows with
 the longer interior axis outermost, so that the band is two narrow sides
 wide; the lower diagonals are copied into a LAPACK band, factored by banded
-Cholesky (pbtrf) and solved once. Large and 3-D systems are attacked with
-preconditioned conjugate gradients, which read the DIA matrix as it is built.
+Cholesky (dpbtrf) and solved once (dpbtrs). Large and 3-D systems are
+attacked with preconditioned conjugate gradients, which read the DIA matrix
+as it is built.
 On a large 1-D or 2-D system, such as a whole 128^2 grid, the preconditioner
 is a smoothed-aggregation multigrid V-cycle whose coarse spaces hold the
 constant and linear functions on every aggregate: A A^T is a fourth-order
@@ -137,10 +138,11 @@ def _band_axes(shape: tuple[int, ...]) -> list[int]:
 def _lower_band(mat) -> np.ndarray:
     """The lower triangle of a square sparse matrix as a LAPACK lower band,
     (bandwidth + 1, rows), copied diagonal by diagonal from its DIA form, which
-    the normal matrix already has."""
+    the normal matrix already has. The band is in Fortran order, so LAPACK
+    reads it with no transposing copy."""
     dia = mat.todia()
     lower = dia.offsets <= 0
-    band = np.zeros((1 - int(dia.offsets.min()), dia.shape[0]))
+    band = np.zeros((1 - int(dia.offsets.min()), dia.shape[0]), order="F")
     band[-dia.offsets[lower], : dia.data.shape[1]] = dia.data[lower, : dia.shape[0]]
     return band
 
@@ -150,23 +152,25 @@ def _direct(mat, b: np.ndarray, rel_tol: float):
     CG result.
 
     The band follows mat's own row order, so a caller that wants it narrow
-    orders the rows first.
+    orders the rows first. LAPACK is called directly, without scipy's
+    finiteness checks of every band: solve_least_norm checks the reference
+    once, and assemble checks the drift.
     """
-    from scipy.linalg import cho_solve_banded, cholesky_banded
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-    band = _lower_band(mat)
     # The lower form, because it is the fast one with 2 BLAS threads: on a 32^2
     # ring block (900 rows, bandwidth 60) of a 2-vCPU host, dpbtrf took about
     # 1.1 ms in lower form against 3.0 to 4.3 ms in upper form (SuperLU: 3.1 to
     # 5.7 ms); with 1 thread both forms took about 1.05 ms.
-    try:
-        factor = cholesky_banded(band, overwrite_ab=True, lower=True)
-    except np.linalg.LinAlgError as exc:
+    factor, info = dpbtrf(_lower_band(mat), lower=1, overwrite_ab=1)
+    if info > 0:
         raise RankDeficiencyError(
-            f"banded Cholesky of the normal system failed ({exc}): the "
-            "operator appears rank deficient"
-        ) from exc
-    x = cho_solve_banded((factor, True), b)
+            f"banded Cholesky of the normal system failed (leading minor {info} "
+            "not positive definite): the operator appears rank deficient"
+        )
+    # pbtrs fails only on an illegal argument, and the residual test would
+    # catch a wrong x all the same
+    x, _ = dpbtrs(factor, b, lower=1)
     r = b - mat @ x
     norm_tol, inf_tol = _tolerances(b, rel_tol)
     if not (np.linalg.norm(r) <= norm_tol and np.max(np.abs(r)) <= inf_tol):
@@ -499,8 +503,12 @@ def solve_least_norm(
     """Minimal-distance projection of v onto the constraint set A u = 0.
 
     Args:
-        op: interior operator assembled on v's grid.
-        v: reference field, typically a sampled histogram density.
+        op: interior operator on v's grid, as assemble builds it or as a
+            window of the coefficients of an operator on a larger grid whose
+            interior rows include those of v's grid (blocks.solve_blocks).
+        v: reference field, typically a sampled histogram density. A value
+            that is not finite raises ConfigurationError before the normal
+            matrix is formed.
         opts: solver options; defaults are tight enough for the diagnostics.
 
     Returns:
@@ -513,6 +521,11 @@ def solve_least_norm(
         opts = SolveOptions()
     if v.grid != op.grid:
         raise DimensionError("reference field and operator live on different grids")
+    bad = int(np.count_nonzero(~np.isfinite(v.values)))
+    if bad:
+        raise ConfigurationError(
+            f"the reference holds {bad} non-finite cell value(s) (NaN or inf)"
+        )
     t0 = time.perf_counter()
     b = -op.apply(v.values)
     shape = op.interior_shape

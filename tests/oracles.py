@@ -5,12 +5,15 @@ loops, textbook quadrature) so that agreement with the library is
 evidence rather than tautology.
 """
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse
 from numpy.polynomial.legendre import leggauss
 from scipy.special import erf
+
+from fpblock import assemble, collage, enumerate_blocks, restrict, solve_least_norm
 
 
 @lru_cache(maxsize=None)
@@ -153,6 +156,32 @@ def gathered_band(normal, shape, axes):
     band = np.zeros((int((row - col)[lower].max()) + 1, normal.shape[0]))
     band[(row - col)[lower], col[lower]] = coo.data[lower]
     return band
+
+
+def per_block_solve(model, v, cfg, iota=0):
+    """The block solve with every block's operator assembled on the block's own
+    grid, one drift call per block: the (field, [SolveReport]) that
+    blocks.solve_blocks must reproduce from its windows of one operator."""
+    pieces, reports = [], []
+    for block in enumerate_blocks(cfg.partition):
+        local = restrict(v, tuple((a, b + 2 * iota) for a, b in block.core))
+        u, report = solve_least_norm(assemble(model, local.grid), local, cfg.solve)
+        core = tuple(slice(iota, m - iota) for m in local.grid.n)
+        pieces.append((block.core, u.reshaped()[core]))
+        reports.append(report)
+    return collage(cfg.partition.grid, pieces), reports
+
+
+def per_block_shifting(model, v, cfg, schedule):
+    """Shift rounds of per_block_solve: the plain round, then one round per
+    schedule fraction on the partition moved by it, each on the last output."""
+    fld, reports = per_block_solve(model, v, cfg)
+    rounds = [reports]
+    for s in schedule:
+        part = replace(cfg.partition, shift=(s,) * cfg.partition.grid.dim)
+        fld, reports = per_block_solve(model, fld, replace(cfg, partition=part))
+        rounds.append(reports)
+    return fld, rounds
 
 
 def ring_drift_reference(p):

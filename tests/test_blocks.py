@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import fpblock.blocks
 from fpblock import (
+    DEFAULT_SHIFT_SCHEDULE,
     BlockPartition,
     BlockSolveConfig,
     CollageError,
+    ConfigurationError,
     DensityField,
     Grid,
     assemble,
@@ -13,12 +18,16 @@ from fpblock import (
     restrict,
     ring_exact_density,
     ring_model,
+    rossler_model,
     solve_blocks,
     solve_least_norm,
+    solve_overlapping,
+    solve_shifting,
     synthetic_reference,
     worst_residual,
     zero_drift_model,
 )
+from oracles import per_block_shifting, per_block_solve
 
 
 def test_restrict_whole_grid_is_identity():
@@ -104,3 +113,115 @@ def test_block_solve_reduces_error_of_noisy_reference():
     err_v = np.linalg.norm(v.values - exact.values)
     err_u = np.linalg.norm(u.values - exact.values)
     assert err_u < 0.6 * err_v
+
+
+def _noisy_ring(grid, seed=0):
+    exact = DensityField.from_function(grid, ring_exact_density())
+    return synthetic_reference(exact, zeta=0.01, seed=seed)
+
+
+def _uniform(grid, seed=0):
+    return DensityField(grid, np.random.default_rng(seed).random(grid.num_cells))
+
+
+def _windowed_and_per_block(method, model, grid, blocks, reference, schedule):
+    """(field, solve reports) of a method as the library runs it, on windows
+    of one operator per partition, and as the per-block oracle runs it."""
+    cfg = BlockSolveConfig(partition=BlockPartition(grid, blocks))
+    if method == "overlap":
+        v = reference(grid.inflate(1))
+        fld, reports = solve_overlapping(model, v, cfg, iota=1)
+        return (fld, [r.solve for r in reports]), per_block_solve(model, v, cfg, iota=1)
+    v = reference(grid)
+    if method == "plain":
+        fld, reports = solve_blocks(model, v, cfg)
+        return (fld, [r.solve for r in reports]), per_block_solve(model, v, cfg)
+    fld, rounds = solve_shifting(model, v, cfg, schedule)
+    expected, expected_rounds = per_block_shifting(model, v, cfg, schedule)
+    return (
+        (fld, [r.solve for reports in rounds for r in reports]),
+        (expected, [r for reports in expected_rounds for r in reports]),
+    )
+
+
+def _outcome(report):
+    return (
+        report.iterations,
+        report.factor_nnz,
+        report.residual_constraint,
+        report.distance,
+        report.min_value,
+    )
+
+
+@pytest.mark.parametrize("method", ["plain", "overlap", "shift"])
+def test_windows_equal_per_block_assembly_on_a_dyadic_grid(method):
+    # h = 1/16: every block's cell centres and h are those of the whole grid
+    # to the bit, so its window holds the coefficients its own assembly would
+    (fld, reports), (expected, expected_reports) = _windowed_and_per_block(
+        method, ring_model(), Grid((-2.0, -2.0), (2.0, 2.0), (64, 64)), (2, 2),
+        _noisy_ring, DEFAULT_SHIFT_SCHEDULE,
+    )
+    assert np.array_equal(fld.values, expected.values)
+    assert [_outcome(r) for r in reports] == [_outcome(r) for r in expected_reports]
+
+
+@pytest.mark.parametrize("method", ["plain", "overlap", "shift"])
+def test_windows_match_per_block_assembly_off_the_dyadic_grid(method):
+    # h = 0.05: a block's own grid rounds its centres and h differently from
+    # the whole grid, so the two assemblies differ in the last bits
+    (fld, reports), (expected, expected_reports) = _windowed_and_per_block(
+        method, ring_model(), Grid((-1.3, -1.7), (1.7, 1.3), (60, 60)), (3, 3),
+        _noisy_ring, DEFAULT_SHIFT_SCHEDULE,
+    )
+    assert np.max(np.abs(fld.values - expected.values)) <= 1e-13
+    assert len(reports) == len(expected_reports)
+    for got, want in zip(reports, expected_reports):
+        assert (got.iterations, got.factor_nnz) == (want.iterations, want.factor_nnz)
+        assert abs(got.distance - want.distance) <= 1e-13
+        assert abs(got.min_value - want.min_value) <= 1e-13
+        # max|A u| is itself rounding noise, about 1e-13 here
+        assert abs(got.residual_constraint - want.residual_constraint) <= 1e-12
+
+
+def test_windows_equal_per_block_assembly_on_a_3d_rossler_partition():
+    # 10^3 blocks go to Jacobi CG; the half shift adds 5-cell edge blocks
+    (fld, reports), (expected, expected_reports) = _windowed_and_per_block(
+        "shift", rossler_model(), Grid((-15.0,) * 3, (15.0,) * 3, (20, 20, 20)),
+        (2, 2, 2), _uniform, (0.5,),
+    )
+    assert np.array_equal(fld.values, expected.values)
+    assert [_outcome(r) for r in reports] == [_outcome(r) for r in expected_reports]
+    assert all(r.iterations > 0 for r in reports)
+
+
+def test_drift_not_finite_at_an_interior_block_corner_fails_before_any_solve(
+    monkeypatch,
+):
+    # cell (9, 9) is the corner of block (0, 0): no block's interior row reads
+    # it, but a row of the whole grid does, and the whole grid is assembled
+    # before the first block is solved
+    g = Grid((-2.0, -2.0), (2.0, 2.0), (20, 20))
+    corner = np.array(g.lo) + 9.5 * g.h
+    ring = ring_model()
+
+    def drift(p):
+        out = ring.drift(p)
+        out[np.all(np.isclose(p, corner), axis=-1)] = np.nan
+        return out
+
+    calls = []
+    solve = fpblock.blocks.solve_least_norm
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fpblock.blocks, "solve_least_norm", counting_solve)
+    cfg = BlockSolveConfig(partition=BlockPartition(g, (2, 2)))
+    v = _noisy_ring(g)
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        solve_blocks(replace(ring, drift=drift), v, cfg)
+    assert calls == []
+    # the per-block assembly never reads that cell
+    per_block_solve(replace(ring, drift=drift), v, cfg)

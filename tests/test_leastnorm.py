@@ -323,6 +323,27 @@ def test_empty_row_raises_rank_deficiency_before_any_iteration(monkeypatch):
     assert products == []
 
 
+@pytest.mark.parametrize(
+    "model, grid, bad",
+    [
+        (ring_model(), Grid((-2.0, -2.0), (2.0, 2.0), (32, 32)), (np.nan,)),
+        (ring_model(), Grid((-2.0, -2.0), (2.0, 2.0), (128, 128)), (np.inf, -np.inf)),
+        (rossler_model(), Grid((-15.0,) * 3, (0.0,) * 3, (16, 16, 16)), (np.nan,)),
+    ],
+    ids=["direct-32^2", "multigrid-cg-128^2", "jacobi-cg-16^3"],
+)
+def test_non_finite_reference_fails_before_the_normal_matrix(model, grid, bad, monkeypatch):
+    # one NaN on a 16^3 block used to run CG to its cap of ten iterations per
+    # row and end in a NaN residual; the 2-D paths raised scipy's ValueError
+    calls = []
+    monkeypatch.setattr(InteriorOperator, "normal_matrix", lambda *a, **k: calls.append(1))
+    values = np.random.default_rng(5).random(grid.num_cells)
+    values[[7, grid.num_cells // 2][: len(bad)]] = bad
+    with pytest.raises(ConfigurationError, match=f"holds {len(bad)} non-finite"):
+        solve_least_norm(assemble(model, grid), DensityField(grid, values))
+    assert calls == []
+
+
 def test_breakdown_on_singular_normal_matrix():
     mat = scipy.sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(RankDeficiencyError):

@@ -3,9 +3,10 @@
 With ``--trace 1``, perfbench/spans.py swaps a wrapper in at each import
 site listed in its SITES table, plus ``fpblock.cli.model_by_name``, and
 refuses to start if one of those names is gone. This test catches such a
-rename or deletion without running the benchmark, and the last one checks
+rename or deletion without running the benchmark. The other tests check
 that every least-norm solve still forms the normal matrix the per-layer
-metrics read.
+metrics read, and, through the tracer itself, what a block solve records:
+one assembly and one drift call per partition, one solve per block.
 """
 
 import importlib.util
@@ -14,12 +15,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fpblock.repair
 from fpblock import (
+    DEFAULT_SHIFT_SCHEDULE,
+    BlockPartition,
+    BlockSolveConfig,
     DensityField,
     Grid,
     InteriorOperator,
     SolveOptions,
     assemble,
+    enumerate_blocks,
     ring_model,
     rossler_model,
     solve_least_norm,
@@ -67,3 +73,58 @@ def test_every_solve_forms_one_normal_matrix(model, grid, direct, monkeypatch):
     assert (report.factor_nnz > 0, report.iterations > 0) == (direct, not direct)
     assert len(calls) == 1
     assert type(calls[0].nnz) is int
+
+
+@pytest.fixture
+def tracer():
+    t = spans.Tracer()
+    t.install()
+    try:
+        yield t
+    finally:
+        t.uninstall()
+
+
+@pytest.mark.parametrize(
+    "model, grid, blocks, method",
+    [
+        (ring_model(), Grid((-2.0, -2.0), (2.0, 2.0), (64, 64)), (2, 2), "plain"),
+        (ring_model(), Grid((-2.0, -2.0), (2.0, 2.0), (64, 64)), (2, 2), "overlap"),
+        (ring_model(), Grid((-2.0, -2.0), (2.0, 2.0), (64, 64)), (2, 2), "shift"),
+        (rossler_model(), Grid((-15.0,) * 3, (15.0,) * 3, (30,) * 3), (2, 2, 2), "shift"),
+    ],
+    ids=["plain-64^2", "overlap-64^2", "shift-64^2", "shift-30^3"],
+)
+def test_block_solves_trace_one_assembly_per_partition(model, grid, blocks, method, tracer):
+    # per-layer metrics count operator.assemble and drift calls per operation,
+    # and leastnorm.solves per block: each partition's operator is assembled
+    # once, on its whole grid, and every block solves on a window of it
+    cfg = BlockSolveConfig(
+        partition=BlockPartition(grid, blocks), solve=SolveOptions(cg_rel_tol=1e-6)
+    )
+    partitions = [cfg.partition]
+    if method == "shift":
+        partitions += fpblock.repair.shifted_partitions(cfg.partition, DEFAULT_SHIFT_SCHEDULE)
+    iota = 1 if method == "overlap" else 0
+    v = DensityField(
+        grid.inflate(iota), np.random.default_rng(3).random(grid.inflate(iota).num_cells)
+    )
+    with tracer.operation(0):
+        fpblock.repair.solve_method(tracer.model(model), v, cfg, method, iota=iota)
+
+    rounds = sorted(
+        (s for s in tracer.spans if s.name == "blocks.solve_blocks"), key=lambda s: s.start
+    )
+    assert len(rounds) == len(partitions)
+    for span, part in zip(rounds, partitions):
+        children = [s.name for s in tracer.spans if s.parent == span.id]
+        assert children.count("operator.assemble") == 1
+        assert children.count("leastnorm.solve_least_norm") == len(enumerate_blocks(part))
+    assert sum(s.drift_calls for s in (tracer.root, *tracer.spans)) == len(partitions)
+    for solve in (s for s in tracer.spans if s.name == "leastnorm.solve_least_norm"):
+        normal = [
+            s for s in tracer.spans
+            if s.parent == solve.id and s.name == "operator.normal_matrix"
+        ]
+        assert len(normal) == 1
+        assert type(normal[0].attrs["nnz"]) is int and normal[0].attrs["nnz"] > 0
