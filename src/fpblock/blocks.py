@@ -99,7 +99,7 @@ def solve_blocks(
         local = restrict(v, ranges)
         # interior row r of the block is interior row r + a of v's grid
         rows = (slice(None), *(slice(a, b - 2) for a, b in ranges))
-        op = InteriorOperator(local.grid, model, whole.coefficients[rows])
+        op = InteriorOperator(local.grid, whole.coefficients[rows])
         u_loc, rep = solve_least_norm(op, local, cfg.solve)
         core = tuple(slice(iota, m - iota) for m in local.grid.n)
         pieces.append((block.core, u_loc.reshaped()[core]))

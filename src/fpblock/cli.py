@@ -35,17 +35,11 @@ from .errors import (
     UndefinedRatioError,
 )
 from .grids import BlockPartition, DensityField, Grid
-from .leastnorm import SolveOptions
 from .models import ModelSpec, model_by_name, ring_exact_density, zero_drift_model
 from .operator import assemble
 # solve_shifting is kept for the benchmark tracer
 from .repair import METHODS, method_settings, solve_method, solve_shifting
-from .sampler import (
-    SamplerConfig,
-    accumulate_histogram,
-    histogram_to_density,
-    start_point,
-)
+from .sampler import accumulate_histogram, histogram_to_density, start_point
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,25 +79,6 @@ def _model(cfg: RunConfig) -> ModelSpec:
     return model_by_name(cfg.model, cfg.epsilon)
 
 
-def _solve_options(cfg: RunConfig) -> SolveOptions:
-    # a cap of 0 means automatic; SolveOptions rejects a negative one
-    return SolveOptions(
-        cg_rel_tol=cfg.cg_rel_tol, cg_max_iters=cfg.cg_max_iters or None
-    )
-
-
-def _sampler(cfg: RunConfig) -> SamplerConfig:
-    return SamplerConfig(
-        n_samples=cfg.samples,
-        dt=cfg.dt,
-        burn_in=cfg.burn_in,
-        n_chains=cfg.chains,
-        seed=cfg.seed,
-        initial=cfg.initial,
-        on_escape=cfg.on_escape,
-    )
-
-
 # One sidecar record per kind of setting, so each command keys a setting alike.
 def _record(command: str, model: ModelSpec, grid: Grid | None = None) -> dict:
     record = {"command": command, "model": model.name, "epsilon": model.epsilon}
@@ -113,21 +88,22 @@ def _record(command: str, model: ModelSpec, grid: Grid | None = None) -> dict:
 
 
 def _sampler_record(cfg: RunConfig, model: ModelSpec) -> dict:
+    sampler = cfg.sampler
     return {
-        "dt": cfg.dt,
-        "burn_in": cfg.burn_in,
-        "chains": cfg.chains,
-        "seed": cfg.seed,
-        "initial": list(start_point(model, cfg.initial)),
-        "on_escape": cfg.on_escape,
+        "dt": sampler.dt,
+        "burn_in": sampler.burn_in,
+        "chains": sampler.n_chains,
+        "seed": sampler.seed,
+        "initial": list(start_point(model, sampler.initial)),
+        "on_escape": sampler.on_escape,
     }
 
 
 def _solver_record(cfg: RunConfig, methods: tuple[str, ...]) -> dict:
     return {
         **method_settings(methods, cfg.iota, cfg.schedule),
-        "cg_rel_tol": cfg.cg_rel_tol,
-        "cg_max_iters": cfg.cg_max_iters,
+        "cg_rel_tol": cfg.solve.cg_rel_tol,
+        "cg_max_iters": cfg.solve.cg_max_iters,
     }
 
 
@@ -136,7 +112,7 @@ def cmd_sample(args) -> int:
     model = _model(cfg)
     grid = _core_grid(cfg).inflate(cfg.inflate)
     t0 = time.perf_counter()
-    hist = accumulate_histogram(model, grid, _sampler(cfg))
+    hist = accumulate_histogram(model, grid, cfg.sampler)
     wall = time.perf_counter() - t0
     fileio.write_histogram(hist, args.out)
     fileio.write_sidecar(
@@ -162,11 +138,10 @@ def cmd_sample(args) -> int:
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
     model = _model(cfg)
-    opts = _solve_options(cfg)  # checked before any input file is read
     density = histogram_to_density(fileio.read_histogram(args.hist))
     core = _core_grid(cfg)
     partition = BlockPartition(grid=core, blocks=cfg.blocks)
-    solve_cfg = BlockSolveConfig(partition=partition, solve=opts)
+    solve_cfg = BlockSolveConfig(partition=partition, solve=cfg.solve)
 
     t0 = time.perf_counter()
     fld, rounds = solve_method(
@@ -340,8 +315,8 @@ def cmd_convergence(args) -> int:
         block_cells=args.block_cells,
         iota=cfg.iota,
         schedule=cfg.schedule,
-        sampler=_sampler(cfg),
-        solve_opts=_solve_options(cfg),
+        sampler=cfg.sampler,
+        solve_opts=cfg.solve,
     )
     names = ["n", "method", "samples", "l2", "h1", "wall_time"]
     fileio.write_rows_csv(rows, names, args.out)

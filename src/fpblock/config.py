@@ -8,11 +8,13 @@ parse_config(serialize_config(cfg)) reproduces cfg exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from operator import attrgetter
 
 from .errors import ConfigurationError
-from .repair import METHODS
-from .sampler import ESCAPE_POLICIES
+from .leastnorm import SolveOptions
+from .repair import DEFAULT_SHIFT_SCHEDULE, METHODS
+from .sampler import SamplerConfig
 
 
 @dataclass(frozen=True)
@@ -22,20 +24,13 @@ class RunConfig:
     grid_lo: tuple[float, ...] = (-2.0, -2.0)
     grid_hi: tuple[float, ...] = (2.0, 2.0)
     grid_n: tuple[int, ...] = (256, 256)
-    dt: float = 0.002
-    samples: int = 10_000_000
-    burn_in: int = 100_000
-    chains: int = 16
-    seed: int = 0
+    sampler: SamplerConfig = SamplerConfig(n_samples=10_000_000)
     inflate: int = 0
-    initial: tuple[float, ...] | None = None
-    on_escape: str = "error"
     blocks: tuple[int, ...] = (8, 8)
     method: str = "plain"
     iota: int = 1
-    schedule: tuple[float, ...] = (1.0 / 3.0, 2.0 / 3.0, 0.0)
-    cg_rel_tol: float = 1e-10
-    cg_max_iters: int = 0
+    schedule: tuple[float, ...] = DEFAULT_SHIFT_SCHEDULE
+    solve: SolveOptions = SolveOptions()
     renormalize: bool = False
 
 
@@ -85,14 +80,10 @@ def _parse_optional_floats(text: str):
     return None if text.strip().lower() == "none" else _parse_floats(text)
 
 
-def _choice(name: str, options: tuple[str, ...]):
-    def parse(text: str) -> str:
-        value = text.strip()
-        if value not in options:
-            raise ConfigurationError(f"{name} must be one of {options}, got {value!r}")
-        return value
-
-    return parse
+def _parse_method(text: str) -> str:
+    if text.strip() not in METHODS:
+        raise ConfigurationError(f"method must be one of {METHODS}, got {text.strip()!r}")
+    return text.strip()
 
 
 def _show(value) -> str:
@@ -107,40 +98,44 @@ def _show(value) -> str:
     return str(value)
 
 
+# Each key names the RunConfig attribute it sets; a dotted path sets a field of
+# the SamplerConfig or SolveOptions the run uses, which validate it at once.
 _KEYS: dict[str, tuple[str, object]] = {
     "model": ("model", str.strip),
     "epsilon": ("epsilon", _parse_optional_float),
     "grid.lo": ("grid_lo", _parse_floats),
     "grid.hi": ("grid_hi", _parse_floats),
     "grid.n": ("grid_n", _parse_ints),
-    "sampler.dt": ("dt", _parse_float),
-    "sampler.samples": ("samples", _parse_int),
-    "sampler.burn_in": ("burn_in", _parse_int),
-    "sampler.chains": ("chains", _parse_int),
-    "sampler.seed": ("seed", _parse_int),
+    "sampler.dt": ("sampler.dt", _parse_float),
+    "sampler.samples": ("sampler.n_samples", _parse_int),
+    "sampler.burn_in": ("sampler.burn_in", _parse_int),
+    "sampler.chains": ("sampler.n_chains", _parse_int),
+    "sampler.seed": ("sampler.seed", _parse_int),
     "sampler.inflate": ("inflate", _parse_int),
-    "sampler.initial": ("initial", _parse_optional_floats),
-    "sampler.on_escape": ("on_escape", _choice("on_escape", ESCAPE_POLICIES)),
+    "sampler.initial": ("sampler.initial", _parse_optional_floats),
+    "sampler.on_escape": ("sampler.on_escape", str.strip),
     "solver.blocks": ("blocks", _parse_ints),
-    "solver.method": ("method", _choice("method", METHODS)),
+    "solver.method": ("method", _parse_method),
     "solver.iota": ("iota", _parse_int),
     "solver.schedule": ("schedule", _parse_floats),
-    "solver.cg_rel_tol": ("cg_rel_tol", _parse_float),
-    "solver.cg_max_iters": ("cg_max_iters", _parse_int),
+    "solver.cg_rel_tol": ("solve.cg_rel_tol", _parse_float),
+    "solver.cg_max_iters": ("solve.cg_max_iters", _parse_int),
     "solver.renormalize": ("renormalize", _parse_bool),
 }
-
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
 
 
 def _apply(cfg: RunConfig, key: str, raw: str) -> RunConfig:
     try:
-        attr, parse = _KEYS[key]
+        path, parse = _KEYS[key]
     except KeyError:
         raise ConfigurationError(
             f"unknown config key {key!r}; valid keys: {', '.join(sorted(_KEYS))}"
         ) from None
-    return replace(cfg, **{attr: parse(raw)})
+    value = parse(raw)
+    outer, _, attr = path.rpartition(".")
+    if outer:
+        attr, value = outer, replace(getattr(cfg, outer), **{attr: value})
+    return replace(cfg, **{attr: value})
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
@@ -168,8 +163,6 @@ def apply_overrides(cfg: RunConfig, pairs) -> RunConfig:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    lines = []
-    for f in fields(RunConfig):
-        key = _ATTR_TO_KEY[f.name]
-        lines.append(f"{key} = {_show(getattr(cfg, f.name))}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{key} = {_show(attrgetter(path)(cfg))}\n" for key, (path, _) in _KEYS.items()
+    )

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigurationError, FormatError
 from .grids import DensityField, Grid
 from .sampler import Histogram
 
@@ -82,7 +82,10 @@ def _read_binary(path, magic: str, dtype: str) -> tuple[dict, Grid, np.ndarray]:
     if nl < 0:
         raise FormatError(f"{path}: missing header line")
     fields = _header_fields(raw[:nl].decode("ascii", "replace"), magic)
-    grid = _parse_grid(fields)
+    try:
+        grid = _parse_grid(fields)
+    except ConfigurationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     body = raw[nl + 1 :]
     expected = grid.num_cells * 8
     if len(body) != expected:
@@ -117,7 +120,10 @@ def read_histogram(path) -> Histogram:
         total = int(fields["total"])
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: missing or malformed total") from exc
-    return Histogram(grid=grid, counts=counts.astype(np.uint64), total_retained=total)
+    try:
+        return Histogram(grid=grid, counts=counts, total_retained=total)
+    except ConfigurationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_rows_csv(rows: list[dict], fieldnames: list[str], path) -> None:

@@ -66,6 +66,8 @@ class Grid:
             raise ConfigurationError("grid needs at least one dimension")
         if any(m < 1 for m in n):
             raise ConfigurationError(f"cell counts must be positive, got {n}")
+        if not np.isfinite(lo + hi).all():
+            raise ConfigurationError(f"grid bounds must be finite, got lo={lo} hi={hi}")
         if any(b <= a for a, b in zip(lo, hi)):
             raise ConfigurationError("every upper bound must exceed its lower bound")
         widths = [(b - a) / m for a, b, m in zip(lo, hi, n)]

@@ -84,20 +84,22 @@ class SolveOptions:
     """Knobs for the normal-equations solve.
 
     cg_rel_tol bounds the normal-system residual of both the direct and the
-    CG path; cg_max_iters applies to CG only, and None means ten times the
+    CG path; cg_max_iters applies to CG only, and 0 means ten times the
     number of interior rows.
     """
 
     cg_rel_tol: float = 1e-10
-    cg_max_iters: int | None = None
+    cg_max_iters: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.cg_rel_tol < 1.0:
             raise ConfigurationError(
                 f"cg_rel_tol must lie in (0, 1), got {self.cg_rel_tol}"
             )
-        if self.cg_max_iters is not None and self.cg_max_iters < 1:
-            raise ConfigurationError("cg_max_iters must be positive")
+        if self.cg_max_iters is None or self.cg_max_iters < 0:
+            raise ConfigurationError(
+                f"cg_max_iters must be 0 or positive, got {self.cg_max_iters}"
+            )
 
 
 @dataclass(frozen=True)
@@ -540,9 +542,7 @@ def solve_least_norm(
         x, factor_nnz = _direct(normal, b_band, opts.cg_rel_tol)
         y = x.reshape([shape[k] for k in axes]).transpose(np.argsort(axes)).ravel()
     else:
-        max_iters = opts.cg_max_iters
-        if max_iters is None:
-            max_iters = 10 * b.size
+        max_iters = opts.cg_max_iters or 10 * b.size
         y, iters, _ = _cg(normal, b, opts.cg_rel_tol, max_iters, shape)
     correction = op.apply_transpose(y)
     u = v.values + correction

@@ -60,7 +60,6 @@ class InteriorOperator:
     """
 
     grid: Grid
-    model: ModelSpec
     coefficients: np.ndarray
 
     @property
@@ -190,7 +189,7 @@ def assemble(model: ModelSpec, grid: Grid) -> InteriorOperator:
     diff = 0.5 * model.epsilon**2 / (h * h)
     adv = 0.5 / h
     drift = np.asarray(model.drift(grid.centers()), dtype=float).reshape(*grid.n, d)
-    op = InteriorOperator(grid, model, np.empty((2 * d + 1, *(m - 2 for m in grid.n))))
+    op = InteriorOperator(grid, np.empty((2 * d + 1, *(m - 2 for m in grid.n))))
     for j, (o, cells) in enumerate(zip(_stencil(d), _cells(grid.n))):
         if not any(o):
             op.coefficients[j] = -2.0 * d * diff

@@ -208,17 +208,16 @@ def accumulate_histogram(
             cut = span - 1
             escaped = np.zeros(n_chains, dtype=bool)
             if out.any():
-                if cfg.on_escape == "error":
-                    # The earliest escaping step, lowest chain among ties.
-                    t, chain = np.unravel_index(int(np.argmax(out.T)), out.T.shape)
-                    step = step_done + start + int(t)
-                    raise DivergenceError(
-                        f"chain {chain} left the safety box at step {step}",
-                        chain=int(chain),
-                        step=step,
-                    )
                 cut = start + int(np.argmax(out.any(axis=0)))
                 escaped = out[:, cut - start]
+                if cfg.on_escape == "error":
+                    # The earliest escaping step, lowest chain among ties.
+                    chain, step = int(np.argmax(escaped)), step_done + cut
+                    raise DivergenceError(
+                        f"chain {chain} left the safety box at step {step}",
+                        chain=chain,
+                        step=step,
+                    )
             n_ok = cut + 1 - start - escaped
             lo = start + np.clip(cfg.burn_in - age, 0, n_ok)
             take = np.minimum(quotas - taken, start + n_ok - lo)

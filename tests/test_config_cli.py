@@ -20,6 +20,7 @@ from fpblock import (
     Grid,
     Histogram,
     RunConfig,
+    SolveOptions,
     apply_overrides,
     histogram_to_density,
     parse_config,
@@ -76,10 +77,50 @@ def test_round_trip_with_overrides():
     assert cfg.model == "rossler"
     assert cfg.epsilon == 0.05
     assert cfg.grid_n == (64, 64, 64)
-    assert cfg.initial == (0.0, -5.0, 0.0)
+    assert cfg.sampler.initial == (0.0, -5.0, 0.0)
     assert cfg.schedule == pytest.approx((1 / 3, 2 / 3, 0.0))
-    assert cfg.on_escape == "restart"
+    assert cfg.sampler.on_escape == "restart"
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+# A value unlike the default for every key, so a key whose path names the
+# wrong attribute cannot round-trip.
+_OTHER_VALUES = {
+    "model": "rossler",
+    "epsilon": "0.25",
+    "grid.lo": "-3,-3,-3",
+    "grid.hi": "3,3,3",
+    "grid.n": "12,12,12",
+    "sampler.dt": "0.005",
+    "sampler.samples": "1234",
+    "sampler.burn_in": "77",
+    "sampler.chains": "3",
+    "sampler.seed": "11",
+    "sampler.inflate": "2",
+    "sampler.initial": "0.5,-1.5,2.5",
+    "sampler.on_escape": "restart",
+    "solver.blocks": "3,3,3",
+    "solver.method": "overlap",
+    "solver.iota": "3",
+    "solver.schedule": "0.25,0.5",
+    "solver.cg_rel_tol": "1e-07",
+    "solver.cg_max_iters": "500",
+    "solver.renormalize": "true",
+}
+
+
+def test_every_key_round_trips_a_non_default_value():
+    assert list(_OTHER_VALUES) == list(_KEYS)
+    cfg = apply_overrides(RunConfig(), [f"{k}={v}" for k, v in _OTHER_VALUES.items()])
+    assert parse_config(serialize_config(cfg)) == cfg
+    assert (cfg.sampler.n_samples, cfg.sampler.n_chains) == (1234, 3)
+    assert cfg.solve == SolveOptions(cg_rel_tol=1e-7, cg_max_iters=500)
+    # each key moves its own line of the serialized config and no other
+    default = serialize_config(RunConfig()).splitlines()
+    for j, (key, value) in enumerate(_OTHER_VALUES.items()):
+        moved = serialize_config(parse_config(f"{key} = {value}\n")).splitlines()
+        changed = [i for i, (a, b) in enumerate(zip(moved, default)) if a != b]
+        assert changed == [j], key
 
 
 def test_parse_accepts_comments_and_blanks():
@@ -91,7 +132,7 @@ def test_parse_accepts_comments_and_blanks():
     """
     cfg = parse_config(text)
     assert cfg.model == "ring"
-    assert cfg.seed == 9
+    assert cfg.sampler.seed == 9
 
 
 def test_unknown_key_lists_valid_ones():
@@ -110,7 +151,7 @@ def test_malformed_line_rejected():
 def test_none_sentinel_for_optionals():
     cfg = parse_config("epsilon = none\nsampler.initial = none\n")
     assert cfg.epsilon is None
-    assert cfg.initial is None
+    assert cfg.sampler.initial is None
     assert "epsilon = none" in serialize_config(cfg)
 
 
@@ -541,13 +582,24 @@ def test_cli_solve_of_an_empty_sample_says_no_state_was_retained(tmp_path, capsy
         ["convergence", "--block-cells", "-32", "--out", "{tmp}/c.csv"],
         ["solve", "--hist", "{tmp}/h.fphist", "--out", "{tmp}/u.fpgrid",
          "--set", "solver.cg_max_iters=-5"],
+        # every sampler and solver setting is checked when it is parsed,
+        # also by a command that does not use it
+        ["solve", "--hist", "{tmp}/h.fphist", "--out", "{tmp}/u.fpgrid",
+         "--set", "sampler.dt=-1"],
+        ["sample", "--out", "{tmp}/h.fphist", "--set", "sampler.samples=0",
+         "--set", "solver.cg_rel_tol=2"],
+        ["sample", "--out", "{tmp}/h.fphist", "--set", "sampler.samples=0",
+         "--set", "grid.lo=nan,-2"],
     ],
     ids=["schedule-1/0", "schedule-abc", "thickness-a", "mesh-6a",
-         "block-cells-0", "block-cells-negative", "cg-max-iters-negative"],
+         "block-cells-0", "block-cells-negative", "cg-max-iters-negative",
+         "solve-sampler-dt", "sample-solver-tolerance", "sample-grid-lo-nan"],
 )
 def test_cli_malformed_flag_values_exit_2(tmp_path, capsys, argv):
+    # h.fphist does not exist: reading it would exit 4, not 2
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     assert "configuration error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_flags_win_over_set_and_both_block_spellings_agree(tmp_path):

@@ -141,3 +141,29 @@ def test_sidecar_json(tmp_path):
     assert os.fspath(meta_path) == os.fspath(out) + ".meta.json"
     with open(meta_path) as f:
         assert json.load(f) == {"seed": 3, "samples": 10}
+
+
+@pytest.mark.parametrize(
+    "header, problem",
+    [
+        (b"fphist v1 dim=1 n=4 lo=0.0 hi=1.0 total=3", "more binned counts"),
+        (b"fphist v1 dim=2 n=2,2 lo=0.0,0.0 hi=1.0,2.0 total=9", "anisotropic"),
+        (b"fphist v1 dim=1 n=4 lo=nan hi=1.0 total=9", "finite"),
+    ],
+    ids=["counts-over-total", "anisotropic-widths", "lo-nan"],
+)
+def test_histogram_contents_the_grid_or_counts_reject_are_format_errors(
+    tmp_path, header, problem
+):
+    path = tmp_path / "bad.fphist"
+    path.write_bytes(header + b"\n" + np.ones(4, dtype="<u8").tobytes())
+    with pytest.raises(FormatError, match=problem) as err:
+        read_histogram(path)
+    assert str(path) in str(err.value)
+
+
+def test_field_header_the_grid_rejects_is_a_format_error(tmp_path):
+    path = tmp_path / "bad.fpgrid"
+    path.write_bytes(b"fpgrid v1 dim=1 n=4 lo=0.0 hi=inf\n" + np.zeros(4).tobytes())
+    with pytest.raises(FormatError, match="finite"):
+        read_field(path)

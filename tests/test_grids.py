@@ -44,6 +44,17 @@ def test_grid_rejects_bad_bounds_and_counts():
         Grid((0.0, 0.0), (1.0,), (4, 4))
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    [((np.nan, -2.0), (2.0, 2.0)), ((-2.0, -2.0), (2.0, np.inf)),
+     ((-np.inf, -2.0), (2.0, 2.0)), ((-np.inf, -np.inf), (np.inf, np.inf))],
+    ids=["lo-nan", "hi-inf", "lo-minus-inf", "all-infinite"],
+)
+def test_grid_rejects_non_finite_bounds(lo, hi):
+    with pytest.raises(ConfigurationError, match="finite"):
+        Grid(lo, hi, (4, 4))
+
+
 def test_locate_cell_centers_round_trip():
     g = Grid((-2.0, -2.0), (2.0, 2.0), (7, 7))
     assert flat_bin_indices(g, g.centers()).tolist() == list(range(49))

@@ -33,7 +33,7 @@ def _toy_operator():
     # row weights its left neighbour and itself, not its right neighbour
     grid = Grid((0.0,), (1.0,), (3,))
     coefficients = np.array([[1.0], [1.0], [0.0]])
-    return InteriorOperator(grid=grid, model=zero_drift_model(1), coefficients=coefficients)
+    return InteriorOperator(grid=grid, coefficients=coefficients)
 
 
 def test_minimal_correction_on_a_single_constraint():
@@ -266,7 +266,7 @@ def test_direct_solve_of_singular_system_raises_rank_deficiency():
     # the second constraint row is empty, so A A^T has a zero row and column
     grid = Grid((0.0,), (1.0,), (4,))
     coefficients = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-    op = InteriorOperator(grid=grid, model=zero_drift_model(1), coefficients=coefficients)
+    op = InteriorOperator(grid=grid, coefficients=coefficients)
     with pytest.raises(RankDeficiencyError):
         solve_least_norm(op, DensityField(grid, np.array([1.0, 0.0, 0.0, 0.0])))
 
@@ -365,6 +365,10 @@ def test_options_validation():
         SolveOptions(cg_rel_tol=1.5)
     with pytest.raises(ConfigurationError):
         SolveOptions(cg_max_iters=-2)
+    # 0 is the one spelling of the automatic cap
+    with pytest.raises(ConfigurationError):
+        SolveOptions(cg_max_iters=None)
+    assert SolveOptions().cg_max_iters == 0
 
 
 def test_noise_reduction_follows_kernel_dimension():
