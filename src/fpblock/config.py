@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from operator import attrgetter
 
 from .errors import ConfigurationError
+from .grids import _check_block_counts, _check_shift_fractions
 from .leastnorm import SolveOptions
 from .repair import DEFAULT_SHIFT_SCHEDULE, METHODS
 from .sampler import SamplerConfig
@@ -32,6 +33,14 @@ class RunConfig:
     schedule: tuple[float, ...] = DEFAULT_SHIFT_SCHEDULE
     solve: SolveOptions = SolveOptions()
     renormalize: bool = False
+
+    def __post_init__(self):
+        # each field on its own, never against another: a later override may
+        # still change the grid that the block counts must divide
+        _check_block_counts(self.blocks)
+        _check_shift_fractions(self.schedule)
+        if self.iota < 0:
+            raise ConfigurationError(f"iota must be nonnegative, got {self.iota}")
 
 
 def _parse_float(text: str) -> float:

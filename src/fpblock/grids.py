@@ -217,6 +217,16 @@ class Block:
     core: tuple[tuple[int, int], ...]
 
 
+def _check_block_counts(blocks: tuple[int, ...]) -> None:
+    if any(b < 1 for b in blocks):
+        raise ConfigurationError(f"block counts must be positive, got {blocks}")
+
+
+def _check_shift_fractions(shift: tuple[float, ...]) -> None:
+    if any(not 0.0 <= s < 1.0 for s in shift):
+        raise ConfigurationError(f"shift fractions must lie in [0, 1), got {shift}")
+
+
 @dataclass(frozen=True)
 class BlockPartition:
     """Division of a grid into equal blocks, optionally shifted.
@@ -239,16 +249,14 @@ class BlockPartition:
         object.__setattr__(self, "shift", shift)
         if len(blocks) != self.grid.dim:
             raise DimensionError("one block count per grid dimension is required")
-        if any(b < 1 for b in blocks):
-            raise ConfigurationError(f"block counts must be positive, got {blocks}")
+        _check_block_counts(blocks)
         if any(m % b != 0 for m, b in zip(self.grid.n, blocks)):
             raise ConfigurationError(
                 f"cell counts {self.grid.n} not divisible by block counts {blocks}"
             )
         if shift and len(shift) != self.grid.dim:
             raise DimensionError("one shift fraction per dimension is required")
-        if any(not 0.0 <= s < 1.0 for s in shift):
-            raise ConfigurationError(f"shift fractions must lie in [0, 1), got {shift}")
+        _check_shift_fractions(shift)
         for m, b in zip(self.grid.n, blocks):
             if m // b < _MIN_BLOCK_CELLS:
                 raise ConfigurationError(

@@ -18,11 +18,13 @@ constant and linear functions on every aggregate: A A^T is a fourth-order
 operator, on which the iterations of diagonal scaling alone roughly quadruple
 with each mesh doubling, and those of piecewise-constant aggregates double
 (201, 424 and 864 at 128^2, 256^2 and 512^2, against 43, 54 and 73 with the
-linear functions). A 3-D system is preconditioned by the diagonal of A A^T
-(Jacobi), which follows |f|^2 where advection outweighs diffusion; on the
-eight 16^3 blocks of a sampled 32^3 Rossler grid a V-cycle halves the
-iterations (1,595 to 823) but takes about six times as long. The
-correction A^T y is orthogonal to Ker(A), so the result equals v plus the
+linear functions). Its prolongators are applied on the fly on the fine level,
+where A A^T has 13 diagonals, and stored as CSR matrices on the coarser
+levels, where the Galerkin operators have 85. A 3-D system is preconditioned
+by the diagonal of A A^T (Jacobi), which follows |f|^2 where advection
+outweighs diffusion; on the eight 16^3 blocks of a sampled 32^3 Rossler grid
+a V-cycle halves the iterations (1,595 to 823) but takes about six times as
+long. The correction A^T y is orthogonal to Ker(A), so the result equals v plus the
 kernel-orthogonal move of minimal length.
 """
 
@@ -251,13 +253,16 @@ class _Level:
     """One level of the smoothed-aggregation hierarchy: its DIA operator on a
     tensor grid of nodes with comps unknowns each, in node-major order, the
     damped Jacobi weights w = omega D^-1, which also smooth its prolongator,
-    and the orthonormal tentative columns q of _tentative."""
+    the orthonormal tentative columns q of _tentative, and, below the fine
+    level, that prolongator stored as p (see _vcycle for why the fine level
+    applies it on the fly)."""
 
     mat: sparse.dia_matrix
     shape: tuple[int, ...]
     comps: int
     w: np.ndarray
     q: np.ndarray
+    p: sparse.csr_matrix | None = None
 
     @property
     def coarse_shape(self) -> tuple[int, ...]:
@@ -275,6 +280,8 @@ class _Level:
     def prolong(self, xc: np.ndarray) -> np.ndarray:
         """P xc = (I - W M) T xc, T applying each aggregate's columns q to its
         coarse node's unknowns."""
+        if self.p is not None:
+            return self.p @ xc
         xc = np.ascontiguousarray(xc.reshape(-1, len(self.q)).T)
         t = _from_aggregates(np.einsum("cka,ca->ka", self.q, xc), self.shape, self.comps)
         q = self.mat @ t
@@ -284,10 +291,61 @@ class _Level:
 
     def restrict(self, r: np.ndarray) -> np.ndarray:
         """P^T r = T^T (r - M W r)."""
+        if self.p is not None:
+            return self.p.T @ r
         q = self.mat @ (self.w * r)
         np.subtract(r, q, out=q)
         blocks = _to_aggregates(q, self.shape, self.comps)
         return np.einsum("cka,ka->ac", self.q, blocks).ravel()
+
+
+def _stored_prolongator(lvl: _Level, radius: int):
+    """lvl's P = (I - W M) T as a CSR matrix, for an M whose couplings reach
+    radius nodes along each axis.
+
+    Coarse node J's column reaches the nodes within radius of its aggregate,
+    so the columns of coarse nodes `period` apart do not overlap. P applied
+    on the fly to one colour's unit vectors in one component thus holds, in
+    each row, the entry of the one column of that colour that reaches it,
+    and it is written straight into its slot of the pattern, which is known
+    up front. Each row's columns are in order; a dropped tentative column is
+    stored as zeros.
+    """
+    from scipy import sparse
+
+    coarse, comps, m, d = lvl.coarse_shape, lvl.comps, len(lvl.q), len(lvl.shape)
+    period = (_AGGREGATE - 1 + 2 * radius) // _AGGREGATE + 1
+    # per axis, the first coarse node whose column reaches each node, and how
+    # many do, shaped to broadcast over the node grid
+    first, count = [], []
+    for a, (n, nc) in enumerate(zip(lvl.shape, coarse)):
+        i = np.arange(n).reshape([-1 if b == a else 1 for b in range(d)])
+        first.append(np.maximum(0, -((_AGGREGATE - 1 + radius - i) // _AGGREGATE)))
+        count.append(np.minimum(nc - 1, (i + radius) // _AGGREGATE) - first[-1] + 1)
+    row_nnz = np.repeat(m * functools.reduce(np.multiply, count).ravel(), comps)
+    indptr = np.concatenate([[0], np.cumsum(row_nnz)]).astype(np.int32)
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
+    residues = np.indices(coarse).reshape(d, -1) % period
+    for colour in np.ndindex(*(period,) * d):
+        # each node's column of this colour: its place among the columns
+        # that reach the node, and its coarse node
+        place, owner, valid = 0, 0, True
+        for a in range(d):
+            step = (colour[a] - first[a]) % period
+            place = place * count[a] + step
+            owner = owner * coarse[a] + first[a] + step
+            valid = valid & (step < count[a])
+        valid = np.broadcast_to(valid, lvl.shape).ravel()
+        place, owner = (np.broadcast_to(x, lvl.shape).ravel()[valid, None]
+                        for x in (place, owner))
+        slots = indptr[:-1].reshape(-1, comps)[valid] + m * place
+        on = np.all(residues == np.array(colour)[:, None], axis=0)
+        for c in range(m):
+            e = np.zeros((on.size, m))
+            e[on, c] = 1.0
+            data[slots + c] = lvl.prolong(e.ravel()).reshape(-1, comps)[valid]
+            indices[slots + c] = m * owner + c
+    return sparse.csr_matrix((data, indices, indptr), shape=(row_nnz.size, on.size * m))
 
 
 def _galerkin(lvl: _Level, radius: int):
@@ -328,13 +386,15 @@ def _galerkin(lvl: _Level, radius: int):
         o = np.ravel_multi_index((target - cells + radius) % width, box)
         rows = np.flatnonzero(inside[np.arange(n), o])
         o = o[rows]
-        # where each row's entries go in data, flattened, per column component
+        # where each row's entries go in data, flattened, by row and column
+        # component
         slots = where[o] * size + (m * (rows + shift[o]))[:, None, None] + comp
+        block = np.empty((n, m, m))
         for c in range(m):
             e = np.zeros((n, m))
             e[colours == colour, c] = 1.0
-            probe = lvl.restrict(lvl.mat @ lvl.prolong(e.ravel())).reshape(n, m)
-            data.reshape(-1)[slots[:, :, c]] = probe[rows]
+            block[:, :, c] = lvl.restrict(lvl.mat @ lvl.prolong(e.ravel())).reshape(n, m)
+        data.reshape(-1)[slots] = block[rows]
     zero = int(np.searchsorted(diagonals, 0))
     for j, f in enumerate(diagonals[:zero]):
         data[j, : size + f] = data[np.searchsorted(diagonals, -f), -f:]
@@ -360,10 +420,15 @@ def _vcycle(mat, dinv: np.ndarray, shape: tuple[int, ...]):
     P^T M P passes down. lambda is _POWER_SAFETY times a power-method estimate
     of the spectral radius of D^-1 M: on the 128^2 ring's first coarse level
     the Gershgorin bound reads 3.96 where the radius is 2.16, and smoothing
-    with it took the cycle from 43 to 100 iterations. P is never stored: T is
-    a per-aggregate array applied by reshapes, and its smoothing one product
-    with M. Levels are built until at most _COARSEST_ROWS rows remain, which
-    are factored by dense Cholesky. The cycle runs two damped Jacobi steps,
+    with it took the cycle from 43 to 100 iterations. On the fine level P is
+    applied on the fly, T by reshapes and its smoothing as one product with
+    M, which has only 13 diagonals there: a stored P would hold about 187 k
+    entries (2.25 MB) at 128^2 and saves no time. A coarser M has 85, three
+    products with it per probe of the next Galerkin product, so each coarser
+    level stores P once as CSR (_stored_prolongator, about a quarter of the
+    bytes of its M) and restricts by its CSC view, the same numbers. Levels
+    are built until at most _COARSEST_ROWS rows remain, which are factored
+    by dense Cholesky. The cycle runs two damped Jacobi steps,
     with the same omega, before and after the coarse correction and restricts
     by P^T, so B is symmetric, and positive definite while omega times the
     true radius stays below 2; _cg checks that it does.
@@ -383,6 +448,8 @@ def _vcycle(mat, dinv: np.ndarray, shape: tuple[int, ...]):
             omega = 4.0 / (3.0 * _POWER_SAFETY * _spectral_radius(mat, dinv))
             q, candidates = _tentative(candidates, shape, comps)
             lvl = _Level(mat, shape, comps, omega * dinv, q)
+            if levels:
+                lvl.p = _stored_prolongator(lvl, radius)
             levels.append(lvl)
             # P reaches radius nodes past a block, so two coarse nodes couple
             # when their blocks lie within 3 radius fine nodes of each other
@@ -399,11 +466,11 @@ def _vcycle(mat, dinv: np.ndarray, shape: tuple[int, ...]):
             f"a coarse level of the multigrid preconditioner is not positive "
             f"definite ({exc}): the operator appears rank deficient"
         ) from exc
-    # a module-level _cycle, not a closure that calls itself: such a closure
-    # is a reference cycle, and each solve's hierarchy would stay in memory
-    # until the cycle collector ran (141 MB peak on the 128^2 benchmark)
-    coarsest = functools.partial(cho_solve, factor)
-    return lambda r: _cycle(levels, coarsest, r)
+    # a partial of the module-level _cycle, not a closure that calls itself:
+    # such a closure is a reference cycle, and each solve's hierarchy would
+    # stay in memory until the cycle collector ran (141 MB peak on the 128^2
+    # benchmark)
+    return functools.partial(_cycle, levels, functools.partial(cho_solve, factor))
 
 
 def _cycle(levels: list[_Level], coarsest, b: np.ndarray) -> np.ndarray:

@@ -590,10 +590,18 @@ def test_cli_solve_of_an_empty_sample_says_no_state_was_retained(tmp_path, capsy
          "--set", "solver.cg_rel_tol=2"],
         ["sample", "--out", "{tmp}/h.fphist", "--set", "sampler.samples=0",
          "--set", "grid.lo=nan,-2"],
+        # and so are the run's own solver fields, each on its own
+        ["sample", "--out", "{tmp}/h.fphist", "--set", "sampler.samples=0",
+         "--set", "solver.iota=-1"],
+        ["sample", "--out", "{tmp}/h.fphist", "--set", "sampler.samples=0",
+         "--set", "solver.blocks=0,0"],
+        ["sample", "--out", "{tmp}/h.fphist", "--set", "sampler.samples=0",
+         "--set", "solver.schedule=2"],
     ],
     ids=["schedule-1/0", "schedule-abc", "thickness-a", "mesh-6a",
          "block-cells-0", "block-cells-negative", "cg-max-iters-negative",
-         "solve-sampler-dt", "sample-solver-tolerance", "sample-grid-lo-nan"],
+         "solve-sampler-dt", "sample-solver-tolerance", "sample-grid-lo-nan",
+         "sample-solver-iota", "sample-solver-blocks", "sample-solver-schedule"],
 )
 def test_cli_malformed_flag_values_exit_2(tmp_path, capsys, argv):
     # h.fphist does not exist: reading it would exit 4, not 2

@@ -1,3 +1,6 @@
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -205,6 +208,43 @@ def test_multigrid_preconditioner_is_symmetric_positive_definite(model, grid):
         bx, by = precondition(x), precondition(y)
         assert abs(bx @ y - x @ by) <= 1e-12 * np.linalg.norm(bx) * np.linalg.norm(y)
         assert bx @ x > 0.0
+
+
+@pytest.mark.parametrize(
+    "model, grid",
+    [
+        (ring_model(), Grid((-2.0, -2.0), (2.0, 2.0), (64, 64))),
+        (ring_model(), Grid((-2.0, -2.0), (2.0, 2.0), (130, 130))),
+        (ring_model(), Grid((-2.0, -2.0), (2.0, 2.0), (66, 66))),
+        (zero_drift_model(1), Grid((0.0,), (1.0,), (2000,))),
+        (zero_drift_model(1), Grid((0.0,), (1.0,), (2001,))),
+    ],
+    ids=["ring-64^2", "ring-130^2", "ring-66^2", "line-2000", "line-2001"],
+)
+def test_stored_prolongator_equals_the_on_the_fly_product(model, grid):
+    # below the fine level P = (I - W M) T is stored; its products must be
+    # the on-the-fly ones, edge aggregates and dropped candidates included
+    op = assemble(model, grid)
+    normal = op.normal_matrix()
+    levels = _vcycle(normal, 1.0 / normal.diagonal(), op.interior_shape).args[0]
+    assert levels[0].p is None and len(levels) >= 2
+    rng = np.random.default_rng(13)
+    for lvl in levels[1:]:
+        p, plain = lvl.p, replace(lvl, p=None)
+        xc, r = rng.normal(size=p.shape[1]), rng.normal(size=p.shape[0])
+        for stored, direct in [
+            (lvl.prolong(xc), plain.prolong(xc)),
+            (lvl.restrict(r), plain.restrict(r)),
+        ]:
+            assert np.max(np.abs(stored - direct)) <= 1e-13 * np.max(np.abs(direct))
+        # M reaches two nodes, so coarse node J's column reaches node i along
+        # an axis where |i - (3 J + 1)| <= 3
+        reach = [
+            np.count_nonzero(np.abs(np.arange(n)[:, None] - 3 * np.arange(nc) - 1) <= 3, axis=1)
+            for n, nc in zip(lvl.shape, lvl.coarse_shape)
+        ]
+        assert p.nnz == functools.reduce(np.multiply.outer, reach).sum() * lvl.comps * len(lvl.q)
+        assert p.data.nbytes + p.indices.nbytes + p.indptr.nbytes < lvl.mat.data.nbytes
 
 
 def test_whole_128_ring_projection_agrees_with_jacobi_in_few_iterations():
