@@ -18,14 +18,15 @@ constant and linear functions on every aggregate: A A^T is a fourth-order
 operator, on which the iterations of diagonal scaling alone roughly quadruple
 with each mesh doubling, and those of piecewise-constant aggregates double
 (201, 424 and 864 at 128^2, 256^2 and 512^2, against 43, 54 and 73 with the
-linear functions). Its prolongators are applied on the fly on the fine level,
-where A A^T has 13 diagonals, and stored as CSR matrices on the coarser
-levels, where the Galerkin operators have 85. A 3-D system is preconditioned
-by the diagonal of A A^T (Jacobi), which follows |f|^2 where advection
-outweighs diffusion; on the eight 16^3 blocks of a sampled 32^3 Rossler grid
-a V-cycle halves the iterations (1,595 to 823) but takes about six times as
-long. The correction A^T y is orthogonal to Ker(A), so the result equals v plus the
-kernel-orthogonal move of minimal length.
+linear functions). Each level's tentative prolongator is one CSR matrix with
+d + 1 entries per row. The smoothed prolongator is applied on the fly on the
+fine level, where A A^T has 13 diagonals, and stored as a CSR matrix on the
+coarser levels, where the Galerkin operators have 85. A 3-D system is
+preconditioned by the diagonal of A A^T (Jacobi), which follows |f|^2 where
+advection outweighs diffusion; on the eight 16^3 blocks of a sampled 32^3
+Rossler grid a V-cycle halves the iterations (1,595 to 823) but takes about
+six times as long. The correction A^T y is orthogonal to Ker(A), so the
+result equals v plus the kernel-orthogonal move of minimal length.
 """
 
 from __future__ import annotations
@@ -185,56 +186,43 @@ def _direct(mat, b: np.ndarray, rel_tol: float):
     return x, factor.size
 
 
-def _to_aggregates(v: np.ndarray, shape: tuple[int, ...], comps: int) -> np.ndarray:
-    """A level vector, comps unknowns per node of the grid shape in node-major
-    order, as one column per aggregate of _AGGREGATE^d nodes: (_AGGREGATE^d
-    comps, aggregates), both in C order, with zeros where an edge aggregate
-    overhangs the grid."""
-    coarse = [-(-n // _AGGREGATE) for n in shape]
-    d = len(shape)
-    full = np.zeros([_AGGREGATE * c for c in coarse] + [comps])
-    full[tuple(slice(n) for n in shape)] = v.reshape(*shape, comps)
-    full = full.reshape([x for c in coarse for x in (c, _AGGREGATE)] + [comps])
-    order = [*range(1, 2 * d, 2), 2 * d, *range(0, 2 * d, 2)]
-    return full.transpose(order).reshape(-1, math.prod(coarse))
-
-
-def _from_aggregates(t: np.ndarray, shape: tuple[int, ...], comps: int) -> np.ndarray:
-    """The level vector whose aggregates are the columns of t, the inverse of
-    _to_aggregates, with the overhang dropped."""
-    coarse = [-(-n // _AGGREGATE) for n in shape]
-    d = len(shape)
-    full = t.reshape([_AGGREGATE] * d + [comps] + coarse)
-    full = full.transpose([x for k in range(d) for x in (d + 1 + k, k)] + [d])
-    full = full.reshape([_AGGREGATE * c for c in coarse] + [comps])
-    return full[tuple(slice(n) for n in shape)].ravel()
-
-
 def _tentative(candidates: np.ndarray, shape: tuple[int, ...], comps: int):
-    """The tentative prolongator of the near-kernel candidates, the m columns
-    of candidates, on the aggregates of the grid shape.
+    """The tentative prolongator T of the near-kernel candidates, the m columns
+    of candidates, on the aggregates of the grid shape, as a CSR matrix.
 
+    Each unknown belongs to the aggregate of its node, and T's row of it holds
+    one entry per candidate, in the columns of that aggregate's coarse node.
     Per aggregate, the candidates are orthonormalised by modified Gram-Schmidt
-    into q, (m, _AGGREGATE^d comps, aggregates). Their coefficients R are the
-    candidates of the coarse level, one node per aggregate with m unknowns, in
-    the same layout as candidates. A candidate that depends on the earlier ones
-    within an aggregate, as a linear function across a one-wide edge aggregate
-    does on the constant, gets a zero column in q and a zero row in R.
+    into those columns, each inner product one bincount over the aggregates.
+    Their coefficients R are the candidates of the coarse level, one node per
+    aggregate with m unknowns, in the same layout as candidates. A candidate
+    that depends on the earlier ones within an aggregate, as a linear function
+    across a one-wide edge aggregate does on the constant, gets an all-zero
+    column in T and a zero row in R.
     """
-    m = candidates.shape[1]
-    blocks = np.stack([_to_aggregates(c, shape, comps) for c in candidates.T])
-    q = np.zeros_like(blocks)
-    r = np.zeros((m, m, blocks.shape[2]))
+    from scipy import sparse
+
+    rows, m = candidates.shape
+    coarse = [-(-n // _AGGREGATE) for n in shape]
+    nodes = np.indices(shape).reshape(len(shape), -1) // _AGGREGATE
+    agg = np.repeat(np.ravel_multi_index(nodes, coarse), comps)
+    size = math.prod(coarse)
+    q = np.zeros((rows, m))
+    r = np.zeros((size, m, m))
     for j in range(m):
-        v = blocks[j].copy()
+        v = candidates[:, j].copy()
         for i in range(j):
-            r[i, j] = np.einsum("ka,ka->a", q[i], v)
-            v -= q[i] * r[i, j]
-        norm = np.sqrt(np.einsum("ka,ka->a", v, v))
-        keep = norm > _DEPENDENT * np.sqrt(np.einsum("ka,ka->a", blocks[j], blocks[j]))
-        r[j, j] = np.where(keep, norm, 0.0)
-        q[j] = np.where(keep, v / np.where(keep, norm, 1.0), 0.0)
-    return q, r.transpose(2, 0, 1).reshape(-1, m)
+            r[:, i, j] = np.bincount(agg, q[:, i] * v, size)
+            v -= q[:, i] * r[agg, i, j]
+        norm = np.sqrt(np.bincount(agg, v * v, size))
+        keep = norm > _DEPENDENT * np.sqrt(np.bincount(agg, candidates[:, j] ** 2, size))
+        r[:, j, j] = np.where(keep, norm, 0.0)
+        q[:, j] = np.where(keep[agg], v / np.where(keep, norm, 1.0)[agg], 0.0)
+    t = sparse.csr_matrix(
+        (q.ravel(), (m * agg[:, None] + np.arange(m)).ravel(), np.arange(0, m * rows + 1, m)),
+        shape=(rows, m * size),
+    )
+    return t, r.reshape(-1, m)
 
 
 def _spectral_radius(mat, dinv: np.ndarray) -> float:
@@ -253,15 +241,15 @@ class _Level:
     """One level of the smoothed-aggregation hierarchy: its DIA operator on a
     tensor grid of nodes with comps unknowns each, in node-major order, the
     damped Jacobi weights w = omega D^-1, which also smooth its prolongator,
-    the orthonormal tentative columns q of _tentative, and, below the fine
-    level, that prolongator stored as p (see _vcycle for why the fine level
+    the tentative prolongator t of _tentative, and, below the fine level, the
+    smoothed prolongator stored as p (see _vcycle for why the fine level
     applies it on the fly)."""
 
     mat: sparse.dia_matrix
     shape: tuple[int, ...]
     comps: int
     w: np.ndarray
-    q: np.ndarray
+    t: sparse.csr_matrix
     p: sparse.csr_matrix | None = None
 
     @property
@@ -278,12 +266,10 @@ class _Level:
         return x
 
     def prolong(self, xc: np.ndarray) -> np.ndarray:
-        """P xc = (I - W M) T xc, T applying each aggregate's columns q to its
-        coarse node's unknowns."""
+        """P xc = (I - W M) T xc."""
         if self.p is not None:
             return self.p @ xc
-        xc = np.ascontiguousarray(xc.reshape(-1, len(self.q)).T)
-        t = _from_aggregates(np.einsum("cka,ca->ka", self.q, xc), self.shape, self.comps)
+        t = self.t @ xc
         q = self.mat @ t
         q *= self.w
         t -= q
@@ -295,8 +281,7 @@ class _Level:
             return self.p.T @ r
         q = self.mat @ (self.w * r)
         np.subtract(r, q, out=q)
-        blocks = _to_aggregates(q, self.shape, self.comps)
-        return np.einsum("cka,ka->ac", self.q, blocks).ravel()
+        return self.t.T @ q
 
 
 def _stored_prolongator(lvl: _Level, radius: int):
@@ -313,7 +298,8 @@ def _stored_prolongator(lvl: _Level, radius: int):
     """
     from scipy import sparse
 
-    coarse, comps, m, d = lvl.coarse_shape, lvl.comps, len(lvl.q), len(lvl.shape)
+    coarse, comps, d = lvl.coarse_shape, lvl.comps, len(lvl.shape)
+    m = d + 1
     period = (_AGGREGATE - 1 + 2 * radius) // _AGGREGATE + 1
     # per axis, the first coarse node whose column reaches each node, and how
     # many do, shaped to broadcast over the node grid
@@ -358,12 +344,12 @@ def _galerkin(lvl: _Level, radius: int):
     it couples to. Each is written straight into its diagonal. The diagonals
     below the main one are then copies of their mirrors, so the result is
     exactly symmetric. An unknown whose tentative column was dropped couples
-    to nothing and gets a unit diagonal.
+    to nothing, T's column of it being empty, and gets a unit diagonal.
     """
     from scipy import sparse
 
     shape = lvl.coarse_shape
-    m = len(lvl.q)
+    m = len(shape) + 1
     width = 2 * radius + 1
     box = (width,) * len(shape)
     cells = np.indices(shape).reshape(len(shape), -1)
@@ -398,8 +384,8 @@ def _galerkin(lvl: _Level, radius: int):
     zero = int(np.searchsorted(diagonals, 0))
     for j, f in enumerate(diagonals[:zero]):
         data[j, : size + f] = data[np.searchsorted(diagonals, -f), -f:]
-    nodes, parts = np.nonzero(~lvl.q.any(axis=1).T)
-    data[zero, m * nodes + parts] = 1.0
+    dropped = np.bincount(lvl.t.indices, lvl.t.data != 0.0, size) == 0
+    data[zero, dropped] = 1.0
     return sparse.dia_matrix((data, diagonals), shape=(size, size))
 
 
@@ -421,8 +407,8 @@ def _vcycle(mat, dinv: np.ndarray, shape: tuple[int, ...]):
     of the spectral radius of D^-1 M: on the 128^2 ring's first coarse level
     the Gershgorin bound reads 3.96 where the radius is 2.16, and smoothing
     with it took the cycle from 43 to 100 iterations. On the fine level P is
-    applied on the fly, T by reshapes and its smoothing as one product with
-    M, which has only 13 diagonals there: a stored P would hold about 187 k
+    applied on the fly, T as its CSR matrix and the smoothing as one product
+    with M, which has only 13 diagonals there: a stored P would hold about 187 k
     entries (2.25 MB) at 128^2 and saves no time. A coarser M has 85, three
     products with it per probe of the next Galerkin product, so each coarser
     level stores P once as CSR (_stored_prolongator, about a quarter of the
@@ -446,8 +432,8 @@ def _vcycle(mat, dinv: np.ndarray, shape: tuple[int, ...]):
     try:
         while mat.shape[0] > _COARSEST_ROWS:
             omega = 4.0 / (3.0 * _POWER_SAFETY * _spectral_radius(mat, dinv))
-            q, candidates = _tentative(candidates, shape, comps)
-            lvl = _Level(mat, shape, comps, omega * dinv, q)
+            t, candidates = _tentative(candidates, shape, comps)
+            lvl = _Level(mat, shape, comps, omega * dinv, t)
             if levels:
                 lvl.p = _stored_prolongator(lvl, radius)
             levels.append(lvl)

@@ -33,8 +33,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ConfigurationError("model dimension must be positive")
-        if not self.epsilon > 0.0:
-            raise ConfigurationError(f"noise amplitude must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ConfigurationError(
+                f"noise amplitude must be positive and finite, got {self.epsilon}"
+            )
 
 
 def zero_drift_model(dim: int, epsilon: float = 1.0) -> ModelSpec:

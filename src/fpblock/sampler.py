@@ -70,8 +70,10 @@ class SamplerConfig:
     def __post_init__(self):
         if self.n_samples < 0:
             raise ConfigurationError("n_samples cannot be negative")
-        if not self.dt > 0.0:
-            raise ConfigurationError(f"time step must be positive, got {self.dt}")
+        if not 0.0 < self.dt < np.inf:
+            raise ConfigurationError(f"time step must be positive and finite, got {self.dt}")
+        if self.initial is not None and not np.all(np.isfinite(self.initial)):
+            raise ConfigurationError(f"initial point must be finite, got {self.initial}")
         if self.burn_in < 0:
             raise ConfigurationError("burn_in cannot be negative")
         if self.n_chains < 1:
@@ -108,9 +110,15 @@ class Histogram:
             )
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-        if self.total_retained < 0:
-            raise ConfigurationError("total_retained cannot be negative")
-        if int(counts.sum()) > self.total_retained:
+        if not 0 <= self.total_retained < 2**64:
+            raise ConfigurationError(
+                f"total_retained must lie in [0, 2^64) to match 64-bit counts, "
+                f"got {self.total_retained}"
+            )
+        # the exact sum: a uint64 sum wraps past 2^64, the sums of the counts'
+        # 32-bit halves do not on fewer than 2^32 cells
+        binned = (int((counts >> 32).sum()) << 32) + int((counts & 0xFFFFFFFF).sum())
+        if binned > self.total_retained:
             raise ConfigurationError("more binned counts than retained states")
         if self.restarts < 0:
             raise ConfigurationError("restarts cannot be negative")

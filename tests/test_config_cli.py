@@ -496,6 +496,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     junk.write_bytes(b"fphist v1 dim=2 n=4,4 lo=0,0 hi=1,1 total=5\n123")
     assert main(["solve", "--config", str(ok), "--hist", str(junk),
                  "--out", str(tmp_path / "z.fpgrid")]) == 4
+    # counts whose uint64 sum wraps below the total -> 4
+    wrap = tmp_path / "wrap.fphist"
+    counts = np.zeros(32 * 32, dtype="<u8")
+    counts[:3] = [2**63, 2**63, 5]
+    wrap.write_bytes(b"fphist v1 dim=2 n=32,32 lo=-2,-2 hi=2,2 total=5\n" + counts.tobytes())
+    assert main(["solve", "--config", str(ok), "--hist", str(wrap),
+                 "--out", str(tmp_path / "w.fpgrid")]) == 4
+    assert not (tmp_path / "w.fpgrid").exists()
     capsys.readouterr()
 
 
@@ -597,11 +605,19 @@ def test_cli_solve_of_an_empty_sample_says_no_state_was_retained(tmp_path, capsy
          "--set", "solver.blocks=0,0"],
         ["sample", "--out", "{tmp}/h.fphist", "--set", "sampler.samples=0",
          "--set", "solver.schedule=2"],
+        # a setting that is not finite is a bad setting too
+        ["sample", "--out", "{tmp}/h.fphist", "--set", "sampler.dt=inf"],
+        ["sample", "--out", "{tmp}/h.fphist", "--set", "sampler.initial=nan,0"],
+        ["sample", "--out", "{tmp}/h.fphist", "--set", "epsilon=inf"],
+        ["solve", "--hist", "{tmp}/h.fphist", "--out", "{tmp}/u.fpgrid",
+         "--set", "epsilon=inf"],
     ],
     ids=["schedule-1/0", "schedule-abc", "thickness-a", "mesh-6a",
          "block-cells-0", "block-cells-negative", "cg-max-iters-negative",
          "solve-sampler-dt", "sample-solver-tolerance", "sample-grid-lo-nan",
-         "sample-solver-iota", "sample-solver-blocks", "sample-solver-schedule"],
+         "sample-solver-iota", "sample-solver-blocks", "sample-solver-schedule",
+         "sample-dt-inf", "sample-initial-nan", "sample-epsilon-inf",
+         "solve-epsilon-inf"],
 )
 def test_cli_malformed_flag_values_exit_2(tmp_path, capsys, argv):
     # h.fphist does not exist: reading it would exit 4, not 2

@@ -144,19 +144,25 @@ def test_sidecar_json(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "header, problem",
+    "header, counts, problem",
     [
-        (b"fphist v1 dim=1 n=4 lo=0.0 hi=1.0 total=3", "more binned counts"),
-        (b"fphist v1 dim=2 n=2,2 lo=0.0,0.0 hi=1.0,2.0 total=9", "anisotropic"),
-        (b"fphist v1 dim=1 n=4 lo=nan hi=1.0 total=9", "finite"),
+        (b"fphist v1 dim=1 n=4 lo=0.0 hi=1.0 total=3", [1] * 4, "more binned counts"),
+        (b"fphist v1 dim=2 n=2,2 lo=0.0,0.0 hi=1.0,2.0 total=9", [1] * 4, "anisotropic"),
+        (b"fphist v1 dim=1 n=4 lo=nan hi=1.0 total=9", [1] * 4, "finite"),
+        # 2^63 + 2^63 + 5 wraps to 5 in a uint64 sum
+        (b"fphist v1 dim=1 n=4 lo=0.0 hi=1.0 total=5", [2**63, 2**63, 5, 0],
+         "more binned counts"),
+        (b"fphist v1 dim=1 n=4 lo=0.0 hi=1.0 total=18446744073709551616", [1] * 4,
+         "64-bit counts"),
     ],
-    ids=["counts-over-total", "anisotropic-widths", "lo-nan"],
+    ids=["counts-over-total", "anisotropic-widths", "lo-nan", "counts-overflow",
+         "total-overflow"],
 )
 def test_histogram_contents_the_grid_or_counts_reject_are_format_errors(
-    tmp_path, header, problem
+    tmp_path, header, counts, problem
 ):
     path = tmp_path / "bad.fphist"
-    path.write_bytes(header + b"\n" + np.ones(4, dtype="<u8").tobytes())
+    path.write_bytes(header + b"\n" + np.array(counts, dtype="<u8").tobytes())
     with pytest.raises(FormatError, match=problem) as err:
         read_histogram(path)
     assert str(path) in str(err.value)

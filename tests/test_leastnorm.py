@@ -27,7 +27,7 @@ from fpblock import (
     synthetic_reference,
     zero_drift_model,
 )
-from fpblock.leastnorm import _band_axes, _cg, _direct, _lower_band, _vcycle
+from fpblock.leastnorm import _band_axes, _cg, _direct, _lower_band, _tentative, _vcycle
 from oracles import gathered_band
 
 
@@ -183,7 +183,7 @@ def test_large_and_3d_systems_stay_on_cg(model, grid):
     assert report.factor_nnz == 0
 
 
-@pytest.mark.parametrize(
+_MULTIGRID_GRIDS = pytest.mark.parametrize(
     "model, grid",
     [
         (ring_model(), Grid((-2.0, -2.0), (2.0, 2.0), (64, 64))),
@@ -197,6 +197,9 @@ def test_large_and_3d_systems_stay_on_cg(model, grid):
     ],
     ids=["ring-64^2", "ring-130^2", "ring-66^2", "line-2000", "line-2001"],
 )
+
+
+@_MULTIGRID_GRIDS
 def test_multigrid_preconditioner_is_symmetric_positive_definite(model, grid):
     # CG is only valid with a symmetric positive definite preconditioner
     op = assemble(model, grid)
@@ -210,17 +213,7 @@ def test_multigrid_preconditioner_is_symmetric_positive_definite(model, grid):
         assert bx @ x > 0.0
 
 
-@pytest.mark.parametrize(
-    "model, grid",
-    [
-        (ring_model(), Grid((-2.0, -2.0), (2.0, 2.0), (64, 64))),
-        (ring_model(), Grid((-2.0, -2.0), (2.0, 2.0), (130, 130))),
-        (ring_model(), Grid((-2.0, -2.0), (2.0, 2.0), (66, 66))),
-        (zero_drift_model(1), Grid((0.0,), (1.0,), (2000,))),
-        (zero_drift_model(1), Grid((0.0,), (1.0,), (2001,))),
-    ],
-    ids=["ring-64^2", "ring-130^2", "ring-66^2", "line-2000", "line-2001"],
-)
+@_MULTIGRID_GRIDS
 def test_stored_prolongator_equals_the_on_the_fly_product(model, grid):
     # below the fine level P = (I - W M) T is stored; its products must be
     # the on-the-fly ones, edge aggregates and dropped candidates included
@@ -243,8 +236,37 @@ def test_stored_prolongator_equals_the_on_the_fly_product(model, grid):
             np.count_nonzero(np.abs(np.arange(n)[:, None] - 3 * np.arange(nc) - 1) <= 3, axis=1)
             for n, nc in zip(lvl.shape, lvl.coarse_shape)
         ]
-        assert p.nnz == functools.reduce(np.multiply.outer, reach).sum() * lvl.comps * len(lvl.q)
+        m = len(lvl.shape) + 1
+        assert p.nnz == functools.reduce(np.multiply.outer, reach).sum() * lvl.comps * m
         assert p.data.nbytes + p.indices.nbytes + p.indptr.nbytes < lvl.mat.data.nbytes
+
+
+@_MULTIGRID_GRIDS
+def test_tentative_prolongator_is_orthonormal_and_reproduces_its_candidates(model, grid):
+    # each level's T, rebuilt from the candidates 1 and the centred
+    # coordinates, holds m = d + 1 entries per row; T R gives back the
+    # candidates, and T^T T is the identity on every kept column
+    op = assemble(model, grid)
+    normal = op.normal_matrix()
+    levels = _vcycle(normal, 1.0 / normal.diagonal(), op.interior_shape).args[0]
+    shape = op.interior_shape
+    m = len(shape) + 1
+    centred = np.indices(shape).reshape(len(shape), -1).T - (np.array(shape) - 1) / 2
+    candidates = np.column_stack([np.ones(normal.shape[0]), centred])
+    dropped = []
+    for lvl in levels:
+        t, r = _tentative(candidates, lvl.shape, lvl.comps)
+        assert (t != lvl.t).nnz == 0
+        assert t.nnz == m * t.shape[0]
+        assert np.max(np.abs(t @ r - candidates)) <= 1e-13 * np.max(np.abs(candidates))
+        kept = np.abs(t).sum(axis=0).A1 > 0.0
+        assert abs(t.T @ t - scipy.sparse.diags(kept.astype(float))).max() <= 1e-12
+        assert not r[~kept].any()
+        dropped.append(int(np.count_nonzero(~kept)))
+        candidates = r
+    # a one-wide edge aggregate drops the linear candidate across it, on the
+    # fine level and again on the coarse node it becomes
+    assert dropped == {(66, 66): [44, 16], (2001,): [1, 1, 1]}.get(grid.n, [0] * len(levels))
 
 
 def test_whole_128_ring_projection_agrees_with_jacobi_in_few_iterations():
