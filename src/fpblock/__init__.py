@@ -13,7 +13,6 @@ from .analysis import (
     discrete_l2_error,
     kernel_basis_numeric,
     laplacian_kernel_basis,
-    loglog_slope,
     principal_angles,
     qr_diagonals,
 )
@@ -25,7 +24,7 @@ from .blocks import (
     solve_blocks,
     worst_residual,
 )
-from .config import RunConfig, apply_overrides, parse_config, serialize_config
+from .config import RunConfig, apply_overrides, parse_config
 from .errors import (
     CollageError,
     ConfigurationError,

@@ -147,9 +147,9 @@ def _apply(cfg: RunConfig, key: str, raw: str) -> RunConfig:
     return replace(cfg, **{attr: value})
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Config built from assignments in text, on top of base or defaults."""
-    cfg = base if base is not None else RunConfig()
+def parse_config(text: str) -> RunConfig:
+    """Config built from assignments in text, on top of the defaults."""
+    cfg = RunConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

@@ -20,8 +20,9 @@ with each mesh doubling, and those of piecewise-constant aggregates double
 (201, 424 and 864 at 128^2, 256^2 and 512^2, against 43, 54 and 73 with the
 linear functions). Each level's tentative prolongator is one CSR matrix with
 d + 1 entries per row. The smoothed prolongator is applied on the fly on the
-fine level, where A A^T has 13 diagonals, and stored as a CSR matrix on the
-coarser levels, where the Galerkin operators have 85. A 3-D system is
+fine level, where A A^T has 13 diagonals, and stored on the coarser levels,
+where the Galerkin operators have 85, as a CSC matrix whose columns are
+gathered from their windows around each aggregate. A 3-D system is
 preconditioned by the diagonal of A A^T (Jacobi), which follows |f|^2 where
 advection outweighs diffusion; on the eight 16^3 blocks of a sampled 32^3
 Rossler grid a V-cycle halves the iterations (1,595 to 823) but takes about
@@ -171,7 +172,8 @@ def _direct(mat, b: np.ndarray, rel_tol: float):
     if info > 0:
         raise RankDeficiencyError(
             f"banded Cholesky of the normal system failed (leading minor {info} "
-            "not positive definite): the operator appears rank deficient"
+            "not positive definite): the operator is rank deficient or too "
+            "ill-conditioned"
         )
     # pbtrs fails only on an illegal argument, and the residual test would
     # catch a wrong x all the same
@@ -180,8 +182,11 @@ def _direct(mat, b: np.ndarray, rel_tol: float):
     norm_tol, inf_tol = _tolerances(b, rel_tol)
     if not (np.linalg.norm(r) <= norm_tol and np.max(np.abs(r)) <= inf_tol):
         raise RankDeficiencyError(
-            "the factored normal system misses its residual tolerance: the "
-            "operator appears rank deficient"
+            "the factored normal system misses its residual tolerance "
+            f"(||r||/||b|| {np.linalg.norm(r) / np.linalg.norm(b):.2e} and "
+            f"max|r|/max|b| {np.max(np.abs(r)) / np.max(np.abs(b)):.2e} against "
+            f"{rel_tol:.2e} and {10.0 * rel_tol:.2e}): the operator is rank "
+            "deficient or too ill-conditioned"
         )
     return x, factor.size
 
@@ -242,15 +247,16 @@ class _Level:
     tensor grid of nodes with comps unknowns each, in node-major order, the
     damped Jacobi weights w = omega D^-1, which also smooth its prolongator,
     the tentative prolongator t of _tentative, and, below the fine level, the
-    smoothed prolongator stored as p (see _vcycle for why the fine level
-    applies it on the fly)."""
+    smoothed prolongator stored as the CSC matrix p, which restrict reads
+    through its CSR view p.T (see _vcycle for why the fine level applies it
+    on the fly)."""
 
     mat: sparse.dia_matrix
     shape: tuple[int, ...]
     comps: int
     w: np.ndarray
     t: sparse.csr_matrix
-    p: sparse.csr_matrix | None = None
+    p: sparse.csc_matrix | None = None
 
     @property
     def coarse_shape(self) -> tuple[int, ...]:
@@ -285,53 +291,43 @@ class _Level:
 
 
 def _stored_prolongator(lvl: _Level, radius: int):
-    """lvl's P = (I - W M) T as a CSR matrix, for an M whose couplings reach
+    """lvl's P = (I - W M) T as a CSC matrix, for an M whose couplings reach
     radius nodes along each axis.
 
-    Coarse node J's column reaches the nodes within radius of its aggregate,
-    so the columns of coarse nodes `period` apart do not overlap. P applied
-    on the fly to one colour's unit vectors in one component thus holds, in
-    each row, the entry of the one column of that colour that reaches it,
-    and it is written straight into its slot of the pattern, which is known
-    up front. Each row's columns are in order; a dropped tentative column is
-    stored as zeros.
+    Coarse node J's d + 1 columns live on the window of (3 + 2 radius)^d
+    nodes around its aggregate, so the windows of coarse nodes `period` apart
+    do not overlap, and P applied on the fly to one colour's unit vectors in
+    one component holds every column of that colour on its window. One
+    gather per probe reads them; the slots outside the grid are then cut. A
+    dropped tentative column is stored as zeros.
     """
     from scipy import sparse
 
     coarse, comps, d = lvl.coarse_shape, lvl.comps, len(lvl.shape)
-    m = d + 1
-    period = (_AGGREGATE - 1 + 2 * radius) // _AGGREGATE + 1
-    # per axis, the first coarse node whose column reaches each node, and how
-    # many do, shaped to broadcast over the node grid
-    first, count = [], []
-    for a, (n, nc) in enumerate(zip(lvl.shape, coarse)):
-        i = np.arange(n).reshape([-1 if b == a else 1 for b in range(d)])
-        first.append(np.maximum(0, -((_AGGREGATE - 1 + radius - i) // _AGGREGATE)))
-        count.append(np.minimum(nc - 1, (i + radius) // _AGGREGATE) - first[-1] + 1)
-    row_nnz = np.repeat(m * functools.reduce(np.multiply, count).ravel(), comps)
-    indptr = np.concatenate([[0], np.cumsum(row_nnz)]).astype(np.int32)
-    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
-    residues = np.indices(coarse).reshape(d, -1) % period
+    m, w = d + 1, _AGGREGATE + 2 * radius
+    period = (w - 1) // _AGGREGATE + 1
+    # the row of each slot, by coarse node, column component, window node and
+    # row component; a slot outside the grid reads row 0 until it is cut
+    rows, inside = 0, True
+    for a, n in enumerate(lvl.shape):
+        axes = [1] * (2 * d + 2)
+        axes[a], axes[d + 1 + a] = coarse[a], w
+        i = (_AGGREGATE * np.arange(coarse[a])[:, None] - radius + np.arange(w)).reshape(axes)
+        rows, inside = rows * n + i, inside & (i >= 0) & (i < n)
+    rows = np.where(inside, comps * rows + np.arange(comps), 0).astype(np.int32)
+    full = (*coarse, m, *(w,) * d, comps)
+    data = np.empty(full)
     for colour in np.ndindex(*(period,) * d):
-        # each node's column of this colour: its place among the columns
-        # that reach the node, and its coarse node
-        place, owner, valid = 0, 0, True
-        for a in range(d):
-            step = (colour[a] - first[a]) % period
-            place = place * count[a] + step
-            owner = owner * coarse[a] + first[a] + step
-            valid = valid & (step < count[a])
-        valid = np.broadcast_to(valid, lvl.shape).ravel()
-        place, owner = (np.broadcast_to(x, lvl.shape).ravel()[valid, None]
-                        for x in (place, owner))
-        slots = indptr[:-1].reshape(-1, comps)[valid] + m * place
-        on = np.all(residues == np.array(colour)[:, None], axis=0)
+        sub = tuple(slice(k, None, period) for k in colour)
         for c in range(m):
-            e = np.zeros((on.size, m))
-            e[on, c] = 1.0
-            data[slots + c] = lvl.prolong(e.ravel()).reshape(-1, comps)[valid]
-            indices[slots + c] = m * owner + c
-    return sparse.csr_matrix((data, indices, indptr), shape=(row_nnz.size, on.size * m))
+            e = np.zeros((*coarse, m))
+            e[sub + (c,)] = 1.0
+            data[sub + (c,)] = lvl.prolong(e.ravel())[rows[sub + (0,)]]
+    inside = np.broadcast_to(inside, full)
+    counts = np.count_nonzero(inside.reshape(lvl.t.shape[1], -1), axis=1)
+    indptr = np.append(0, np.cumsum(counts)).astype(np.int32)
+    rows = np.broadcast_to(rows, full)[inside]
+    return sparse.csc_matrix((data[inside], rows, indptr), shape=lvl.t.shape)
 
 
 def _galerkin(lvl: _Level, radius: int):
@@ -411,8 +407,9 @@ def _vcycle(mat, dinv: np.ndarray, shape: tuple[int, ...]):
     with M, which has only 13 diagonals there: a stored P would hold about 187 k
     entries (2.25 MB) at 128^2 and saves no time. A coarser M has 85, three
     products with it per probe of the next Galerkin product, so each coarser
-    level stores P once as CSR (_stored_prolongator, about a quarter of the
-    bytes of its M) and restricts by its CSC view, the same numbers. Levels
+    level stores P once as CSC, gathered column by column from the on-the-fly
+    product (_stored_prolongator, about a quarter of the bytes of its M), and
+    restricts by its CSR view, the same numbers. Levels
     are built until at most _COARSEST_ROWS rows remain, which are factored
     by dense Cholesky. The cycle runs two damped Jacobi steps,
     with the same omega, before and after the coarse correction and restricts
@@ -535,8 +532,8 @@ def _cg(
         curv = float(p @ q)
         if curv <= 0.0:
             raise RankDeficiencyError(
-                "non-positive curvature in the normal system: the operator "
-                "appears rank deficient"
+                "non-positive curvature in the normal system: the operator is "
+                "rank deficient or too ill-conditioned"
             )
         alpha = rz / curv
         x += np.multiply(p, alpha, out=step)

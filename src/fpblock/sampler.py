@@ -159,12 +159,6 @@ def accumulate_histogram(
         raise DimensionError(f"{model.dim}-d model binned on a {grid.dim}-d grid")
     n_chains = cfg.n_chains
     initial = start_point(model, cfg.initial)
-    if cfg.n_samples == 0:
-        return Histogram(
-            grid=grid,
-            counts=np.zeros(grid.num_cells, dtype=np.uint64),
-            total_retained=0,
-        )
     quotas = np.full(n_chains, cfg.n_samples // n_chains, dtype=np.int64)
     quotas[: cfg.n_samples % n_chains] += 1
     rngs = [

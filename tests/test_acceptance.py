@@ -46,7 +46,6 @@ from fpblock import (
     discrete_l2_error,
     histogram_to_density,
     laplacian_kernel_basis,
-    loglog_slope,
     mmo_model,
     qr_diagonals,
     ring_exact_density,
@@ -59,7 +58,7 @@ from fpblock import (
     worst_residual,
     zero_drift_model,
 )
-from fpblock.analysis import kernel_dimension
+from fpblock.analysis import kernel_dimension, loglog_slope
 from oracles import grid_quadrature, independent_histogram
 
 # Annulus 0.5 <= r^2 <= 1.5 mass of the exact ring density, integrated by

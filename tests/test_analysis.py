@@ -15,13 +15,13 @@ from fpblock import (
     discrete_l2_error,
     kernel_basis_numeric,
     laplacian_kernel_basis,
-    loglog_slope,
     principal_angles,
     qr_diagonals,
     ring_exact_density,
     ring_model,
     zero_drift_model,
 )
+from fpblock.analysis import loglog_slope
 
 
 # ---------------------------------------------------------------- kernel basis

@@ -11,7 +11,7 @@ import fpblock.analysis
 import fpblock.blocks
 import fpblock.cli
 import fpblock.errors
-from fpblock.config import _KEYS
+from fpblock.config import _KEYS, serialize_config
 from fpblock import (
     BlockPartition,
     BlockSolveConfig,
@@ -29,7 +29,6 @@ from fpblock import (
     restrict,
     ring_exact_density,
     ring_model,
-    serialize_config,
     solve_blocks,
     solve_overlapping,
     write_field,

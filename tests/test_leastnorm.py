@@ -1,4 +1,5 @@
 import functools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -331,6 +332,23 @@ def test_direct_solve_of_singular_system_raises_rank_deficiency():
     op = InteriorOperator(grid=grid, coefficients=coefficients)
     with pytest.raises(RankDeficiencyError):
         solve_least_norm(op, DensityField(grid, np.array([1.0, 0.0, 0.0, 0.0])))
+
+
+def test_ill_conditioned_line_reports_its_residual_not_only_rank_deficiency():
+    # A has full row rank on a zero-drift line, but its fourth-order normal
+    # system of 1,999 rows is too ill-conditioned for the default tolerance:
+    # the message gives the residual reached against the bound
+    grid = Grid((0.0,), (1.0,), (2001,))
+    x = grid.centers()[:, 0]
+    v = np.sin(np.pi * x) + 0.01 * np.random.default_rng(0).normal(size=grid.num_cells)
+    with pytest.raises(RankDeficiencyError) as caught:
+        solve_least_norm(assemble(zero_drift_model(1), grid), DensityField(grid, v))
+    # ||r||/||b|| read 1.39e-9 on a 2-vCPU host with OpenBLAS
+    assert re.search(
+        r"\|\|r\|\|/\|\|b\|\| \d\.\d\de-\d\d and max\|r\|/max\|b\| \S+ against 1\.00e-10 and "
+        r"1\.00e-09\): the operator is rank deficient or too ill-conditioned",
+        str(caught.value),
+    )
 
 
 def test_direct_solve_of_indefinite_matrix_raises_rank_deficiency():
