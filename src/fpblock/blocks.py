@@ -5,10 +5,12 @@ its own least-norm solve against the restriction of the reference. Its
 interior operator is a window of the one operator assembled on the whole
 partitioned grid: a block's interior rows are rows of that grid, and their
 stencils never leave the block, so the drift is evaluated once per partition
-rather than once per block. A block may be widened by a halo of iota cells
-per side, of which only the core cells are kept. The per-block solutions are
-then collaged back into one field. Failure of any block fails the whole
-solve; there is no partial output to mistake for a converged field.
+rather than once per block. Blocks of one shape whose normal systems are
+factored directly are solved as stacks, one least-norm call per stack, each
+block with the numbers of its own solve. A block may be widened by a halo of
+iota cells per side, of which only the core cells are kept. The per-block
+solutions are then collaged back into one field. Failure of any block fails
+the whole solve; there is no partial output to mistake for a converged field.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CollageError, DimensionError
+from .errors import CollageError, DimensionError, RankDeficiencyError
 from .grids import BlockPartition, DensityField, Grid, enumerate_blocks
-from .leastnorm import SolveOptions, SolveReport, solve_least_norm
+from .leastnorm import SolveOptions, SolveReport, solve_least_norm, stack_limit
 from .models import ModelSpec
 from .operator import InteriorOperator, assemble
 
@@ -75,15 +77,19 @@ def solve_blocks(
 ) -> tuple[DensityField, list[BlockReport]]:
     """Least-norm solves on every block widened by iota cells, then collage.
 
-    Blocks are processed in enumeration order. v lives on the partition's
-    grid inflated by iota cells per side; each block is solved on its core
-    range widened by iota cells, and only the core cells are kept. iota = 0
-    is the plain block solve; a negative iota raises ConfigurationError.
+    v lives on the partition's grid inflated by iota cells per side; each
+    block is solved on its core range widened by iota cells, and only the
+    core cells are kept. iota = 0 is the plain block solve; a negative iota
+    raises ConfigurationError. Reports come in enumeration order.
 
     The operator is assembled once, on v's grid, before any block is solved,
     so a drift that is not finite at any cell an interior row of that grid
     reads raises ConfigurationError even where no block reads it (the
     interior corners of blocks). Each block solves on the window of its rows.
+    Blocks of one shape, in enumeration order, are solved as stacks of up to
+    stack_limit of them, one solve_least_norm call per stack; each keeps the
+    field and report of its own solve. A RankDeficiencyError names the block
+    that failed.
     """
     expected = cfg.partition.grid.inflate(iota)
     if v.grid != expected:
@@ -92,18 +98,35 @@ def solve_blocks(
             f"iota={iota}, {expected.n}; sample with matching inflation"
         )
     whole = assemble(model, v.grid)
+    blocks = enumerate_blocks(cfg.partition)
+    spans = [tuple((a, b + 2 * iota) for a, b in block.core) for block in blocks]
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, ranges in enumerate(spans):
+        by_shape.setdefault(tuple(b - a for a, b in ranges), []).append(i)
     pieces = []
-    reports = []
-    for block in enumerate_blocks(cfg.partition):
-        ranges = tuple((a, b + 2 * iota) for a, b in block.core)
-        local = restrict(v, ranges)
-        # interior row r of the block is interior row r + a of v's grid
-        rows = (slice(None), *(slice(a, b - 2) for a, b in ranges))
-        op = InteriorOperator(local.grid, whole.coefficients[rows])
-        u_loc, rep = solve_least_norm(op, local, cfg.solve)
-        core = tuple(slice(iota, m - iota) for m in local.grid.n)
-        pieces.append((block.core, u_loc.reshaped()[core]))
-        reports.append(BlockReport(index=block.index, cells=block.core, solve=rep))
+    reports: list[BlockReport | None] = [None] * len(blocks)
+    for shape, indices in by_shape.items():
+        size = stack_limit(shape)
+        core = tuple(slice(iota, m - iota) for m in shape)
+        for stack in (indices[s : s + size] for s in range(0, len(indices), size)):
+            local = [restrict(v, spans[i]) for i in stack]
+            # interior row r of a block is interior row r + a of v's grid
+            windows = [
+                whole.coefficients[(slice(None), *(slice(a, b - 2) for a, b in spans[i]))]
+                for i in stack
+            ]
+            op = InteriorOperator(local[0].grid, np.stack(windows))
+            try:
+                fields, rep = solve_least_norm(op, local, cfg.solve)
+            except RankDeficiencyError as exc:
+                block = blocks[stack[exc.member or 0]]
+                raise RankDeficiencyError(
+                    f"block {block.index}, cells {block.core}: {exc}", member=exc.member
+                ) from exc
+            for i, u_loc, member in zip(stack, fields, rep.members):
+                block = blocks[i]
+                pieces.append((block.core, u_loc.reshaped()[core]))
+                reports[i] = BlockReport(index=block.index, cells=block.core, solve=member)
     return collage(cfg.partition.grid, pieces), reports
 
 

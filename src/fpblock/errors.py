@@ -44,8 +44,12 @@ class NonConvergenceError(NumericalError):
 class RankDeficiencyError(NumericalError):
     """Breakdown of the normal-equations solve (an empty row of A, non-positive
     CG curvature, or a sparse factorization that fails or misses its residual
-    bound).
+    bound). member is the index of the failed system in a stack, if known.
     """
+
+    def __init__(self, message: str, member: int | None = None):
+        super().__init__(message)
+        self.member = member
 
 
 class SizeError(NumericalError):

@@ -7,6 +7,7 @@ that order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +92,7 @@ class Grid:
 
     @property
     def num_cells(self) -> int:
-        return int(np.prod(self.n))
+        return math.prod(self.n)
 
     @property
     def cell_volume(self) -> float:

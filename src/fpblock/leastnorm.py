@@ -9,9 +9,11 @@ are stencil sums too, so a direct solve forms no CSR matrix. Small 1-D and
 2-D systems, such as the blocks of a decomposed plane, take their rows with
 the longer interior axis outermost, so that the band is two narrow sides
 wide; the lower diagonals are copied into a LAPACK band, factored by banded
-Cholesky (dpbtrf) and solved once (dpbtrs). Large and 3-D systems are
-attacked with preconditioned conjugate gradients, which read the DIA matrix
-as it is built.
+Cholesky (dpbtrf) and solved once (dpbtrs). They may come as a stack of
+same-shape members, whose products are made once per stack and each of which
+is factored on its own band, with the numbers of its own solve. Large and 3-D
+systems are attacked with preconditioned conjugate gradients, which read the
+DIA matrix as it is built.
 On a large 1-D or 2-D system, such as a whole 128^2 grid, the preconditioner
 is a smoothed-aggregation multigrid V-cycle whose coarse spaces hold the
 constant and linear functions on every aggregate: A A^T is a fourth-order
@@ -62,6 +64,12 @@ if TYPE_CHECKING:
 # solves of a seed-0 rossler-3d-32 shift solve the band path took 0.72 s
 # against 0.49 s for Jacobi-preconditioned CG.
 _DIRECT_SIZE_CAP = 2**17
+# Most interior rows in one stack of same-shape systems factored directly
+# (solve_blocks). A stack holds its normal matrix, coefficients and vectors
+# whole, about 200 bytes a row, beside one member's band. On ring-blocks-128,
+# stacks of 8,192 rows (nine 32^2 blocks) cut solve_s by 12 to 16 % and raised
+# peak RSS by about 1 MB; 4,096 rows cut less, and 16,384 cost 2.1 MB.
+_STACK_ROWS = 8192
 # Multigrid aggregates are blocks of 3^d cells. A A^T couples cells up to two
 # apart along an axis, and with blocks of 3 the Galerkin operator of every
 # coarser level does too, (3 - 1 + 3 * 2) // 3 = 2. With blocks of 2 the reach
@@ -112,7 +120,9 @@ class SolveReport:
 
     A direct solve reports 0 iterations and, as factor_nnz, the entries of
     its stored band factor, rows times (bandwidth + 1); a CG solve reports
-    its iterations and factor_nnz 0.
+    its iterations and factor_nnz 0. A stack's report holds its members'
+    reports, each with its share of the wall time, and their totals, worst
+    residual, lowest value and joint distance; a single system's is empty.
     """
 
     iterations: int
@@ -121,6 +131,7 @@ class SolveReport:
     distance: float
     min_value: float
     wall_time: float
+    members: tuple[SolveReport, ...] = ()
 
 
 def _tolerances(b: np.ndarray, rel_tol: float) -> tuple[float, float]:
@@ -128,11 +139,21 @@ def _tolerances(b: np.ndarray, rel_tol: float) -> tuple[float, float]:
     return rel_tol * float(np.linalg.norm(b)), 10.0 * rel_tol * float(np.max(np.abs(b)))
 
 
-def _direct_size(op: InteriorOperator) -> int:
-    """Rows times the bandwidth of A A^T with the longest interior axis
-    outermost, known before factoring: the size of _direct's band factor
-    less its diagonal."""
-    return op.shape[0] * 2 * int(np.prod(sorted(op.interior_shape)[:-1]))
+def _factored(shape: tuple[int, ...]) -> bool:
+    """Whether the normal system of an interior of this shape is factored: it
+    is 1-D or 2-D, and rows times the bandwidth of A A^T with the longest axis
+    outermost, the size of the band factor less its diagonal, is within
+    _DIRECT_SIZE_CAP."""
+    band = math.prod(shape) * 2 * math.prod(sorted(shape)[:-1])
+    return len(shape) <= 2 and band <= _DIRECT_SIZE_CAP
+
+
+def stack_limit(n: tuple[int, ...]) -> int:
+    """How many systems on grids of n cells solve_least_norm solves in one
+    stack: as many as _STACK_ROWS interior rows hold if they are factored,
+    else one."""
+    shape = tuple(m - 2 for m in n)
+    return max(_STACK_ROWS // math.prod(shape), 1) if _factored(shape) else 1
 
 
 def _band_axes(shape: tuple[int, ...]) -> list[int]:
@@ -141,54 +162,81 @@ def _band_axes(shape: tuple[int, ...]) -> list[int]:
     return sorted(range(len(shape)), key=lambda k: -shape[k])
 
 
-def _lower_band(mat) -> np.ndarray:
-    """The lower triangle of a square sparse matrix as a LAPACK lower band,
-    (bandwidth + 1, rows), copied diagonal by diagonal from its DIA form, which
-    the normal matrix already has. The band is in Fortran order, so LAPACK
-    reads it with no transposing copy."""
+def _lower_band(mat, rows: slice = slice(None), out: np.ndarray | None = None):
+    """The lower triangle of a square sparse matrix's diagonal block on the
+    given rows (all by default) as a LAPACK lower band, (bandwidth + 1, rows),
+    copied diagonal by diagonal from its DIA form, which the normal matrix
+    already has. The band is in Fortran order, so LAPACK reads it with no
+    transposing copy. It is written into out if given, a band of that shape
+    whose contents are overwritten."""
     dia = mat.todia()
+    start, stop, _ = rows.indices(dia.shape[0])
     lower = dia.offsets <= 0
-    band = np.zeros((1 - int(dia.offsets.min()), dia.shape[0]), order="F")
-    band[-dia.offsets[lower], : dia.data.shape[1]] = dia.data[lower, : dia.shape[0]]
-    return band
+    diagonals = dia.data[lower, start:stop]
+    if out is None:
+        out = np.zeros((1 - int(dia.offsets.min()), stop - start), order="F")
+    else:
+        out.fill(0.0)
+    out[-dia.offsets[lower], : diagonals.shape[1]] = diagonals
+    return out
 
 
 def _direct(mat, b: np.ndarray, rel_tol: float):
-    """Banded Cholesky of an SPD sparse matrix and one solve, checked like a
-    CG result.
+    """Banded Cholesky and one solve of each diagonal block of an SPD sparse
+    matrix, the members of a stack, checked like a CG result.
 
-    The band follows mat's own row order, so a caller that wants it narrow
-    orders the rows first. LAPACK is called directly, without scipy's
-    finiteness checks of every band: solve_least_norm checks the reference
-    once, and assemble checks the drift.
+    Row j of b is the right-hand side of block j (a 1-D b is one block). Each
+    block is factored on its own band, so its numbers are those of a solve of
+    it alone; a zero right-hand side gets x = 0 unfactored. The band follows
+    mat's row order, so a caller that wants it narrow orders the rows first.
+    LAPACK is called directly, without scipy's finiteness checks of every
+    band: solve_least_norm checks the reference once, and assemble the drift.
+    Returns x in b's shape and each block's stored factor entries; a failure
+    raises RankDeficiencyError with the block as its member.
     """
     from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-    # The lower form, because it is the fast one with 2 BLAS threads: on a 32^2
-    # ring block (900 rows, bandwidth 60) of a 2-vCPU host, dpbtrf took about
-    # 1.1 ms in lower form against 3.0 to 4.3 ms in upper form (SuperLU: 3.1 to
-    # 5.7 ms); with 1 thread both forms took about 1.05 ms.
-    factor, info = dpbtrf(_lower_band(mat), lower=1, overwrite_ab=1)
-    if info > 0:
-        raise RankDeficiencyError(
-            f"banded Cholesky of the normal system failed (leading minor {info} "
-            "not positive definite): the operator is rank deficient or too "
-            "ill-conditioned"
-        )
-    # pbtrs fails only on an illegal argument, and the residual test would
-    # catch a wrong x all the same
-    x, _ = dpbtrs(factor, b, lower=1)
-    r = b - mat @ x
-    norm_tol, inf_tol = _tolerances(b, rel_tol)
-    if not (np.linalg.norm(r) <= norm_tol and np.max(np.abs(r)) <= inf_tol):
-        raise RankDeficiencyError(
-            "the factored normal system misses its residual tolerance "
-            f"(||r||/||b|| {np.linalg.norm(r) / np.linalg.norm(b):.2e} and "
-            f"max|r|/max|b| {np.max(np.abs(r)) / np.max(np.abs(b)):.2e} against "
-            f"{rel_tol:.2e} and {10.0 * rel_tol:.2e}): the operator is rank "
-            "deficient or too ill-conditioned"
-        )
-    return x, factor.size
+    rhs = b.reshape(-1, b.shape[-1])
+    n = rhs.shape[1]
+    x = np.zeros_like(rhs)
+    sizes = [0] * len(rhs)
+    band = None
+    for j, bj in enumerate(rhs):
+        if not bj.any():
+            continue
+        # Written over the last member's factor: a fresh band per member took
+        # about 8 % longer over a ring-blocks-128 operation.
+        band = _lower_band(mat, slice(j * n, (j + 1) * n), band)
+        # The lower form, because it is the fast one with 2 BLAS threads: on a
+        # 32^2 ring block (900 rows, bandwidth 60) of a 2-vCPU host, dpbtrf took
+        # about 1.1 ms in lower form against 3.0 to 4.3 ms in upper form
+        # (SuperLU: 3.1 to 5.7 ms); with 1 thread both forms took about 1.05 ms.
+        factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise RankDeficiencyError(
+                f"banded Cholesky of the normal system failed (leading minor {info} "
+                "not positive definite): the operator is rank deficient or too "
+                "ill-conditioned",
+                member=j,
+            )
+        # pbtrs fails only on an illegal argument, and the residual test would
+        # catch a wrong x all the same
+        x[j] = dpbtrs(factor, bj, lower=1)[0]
+        sizes[j] = factor.size
+    # each member's own tolerances, its residual taken from one product
+    r = rhs - (mat @ x.ravel()).reshape(rhs.shape)
+    for j, (bj, rj) in enumerate(zip(rhs, r)):
+        norm_tol, inf_tol = _tolerances(bj, rel_tol)
+        if not (np.linalg.norm(rj) <= norm_tol and np.max(np.abs(rj)) <= inf_tol):
+            raise RankDeficiencyError(
+                "the factored normal system misses its residual tolerance "
+                f"(||r||/||b|| {np.linalg.norm(rj) / np.linalg.norm(bj):.2e} and "
+                f"max|r|/max|b| {np.max(np.abs(rj)) / np.max(np.abs(bj)):.2e} against "
+                f"{rel_tol:.2e} and {10.0 * rel_tol:.2e}): the operator is rank "
+                "deficient or too ill-conditioned",
+                member=j,
+            )
+    return x.reshape(b.shape), sizes
 
 
 def _tentative(candidates: np.ndarray, shape: tuple[int, ...], comps: int):
@@ -549,60 +597,86 @@ def _cg(
 
 def solve_least_norm(
     op: InteriorOperator,
-    v: DensityField,
+    v: DensityField | list[DensityField],
     opts: SolveOptions | None = None,
-) -> tuple[DensityField, SolveReport]:
+) -> tuple[DensityField | list[DensityField], SolveReport]:
     """Minimal-distance projection of v onto the constraint set A u = 0.
 
     Args:
         op: interior operator on v's grid, as assemble builds it or as a
             window of the coefficients of an operator on a larger grid whose
-            interior rows include those of v's grid (blocks.solve_blocks).
-        v: reference field, typically a sampled histogram density. A value
-            that is not finite raises ConfigurationError before the normal
-            matrix is formed.
+            interior rows include those of v's grid (blocks.solve_blocks); or
+            a stack of them on grids of one shape, solved only if factored.
+        v: reference field, typically a sampled histogram density, or a list
+            of one per member of a stack. A value that is not finite raises
+            ConfigurationError before the normal matrix is formed.
         opts: solver options; defaults are tight enough for the diagnostics.
 
     Returns:
-        The corrected field and a report with the CG iteration count or the
-        band factor's stored entries, the worst constraint residual max|A u|,
-        the moved distance ||u - v||_2, the most negative value of u, and wall
-        time.
+        The corrected field (a list for a stack) and a report with the CG
+        iteration count or the band factor's stored entries, the worst
+        constraint residual max|A u|, the moved distance ||u - v||_2, the most
+        negative value of u, and wall time.
     """
     if opts is None:
         opts = SolveOptions()
-    if v.grid != op.grid:
+    refs = list(v) if op.stack else [v]
+    k, shape = len(refs), op.interior_shape
+    direct = _factored(shape)
+    if not op.stack and v.grid != op.grid:
         raise DimensionError("reference field and operator live on different grids")
-    bad = int(np.count_nonzero(~np.isfinite(v.values)))
+    if op.stack and (op.stack != (k,) or any(f.grid.n != op.grid.n for f in refs)):
+        raise DimensionError(f"{k} references for a stack of {op.stack} on {op.grid.n}")
+    if k > 1 and not direct:
+        raise ConfigurationError(f"interiors of shape {shape} are solved by CG alone")
+    values = np.stack([f.values for f in refs])
+    bad = int(np.count_nonzero(~np.isfinite(values)))
     if bad:
         raise ConfigurationError(
             f"the reference holds {bad} non-finite cell value(s) (NaN or inf)"
         )
     t0 = time.perf_counter()
-    b = -op.apply(v.values)
-    shape = op.interior_shape
-    direct = op.grid.dim <= 2 and _direct_size(op) <= _DIRECT_SIZE_CAP
+    b = -op.apply(values).reshape(k, -1)
     axes = _band_axes(shape) if direct else None
     normal = op.normal_matrix(axes)
-    iters = factor_nnz = 0
-    if not b.any():
-        y = np.zeros_like(b)
-    elif direct:
-        b_band = b.reshape(shape).transpose(axes).ravel()
+    iters, factor_nnz = 0, [0] * k
+    if direct:
+        # each member's rows in the band order, and back
+        order = (0, *(1 + a for a in axes))
+        b_band = b.reshape(k, *shape).transpose(order).reshape(k, -1)
         x, factor_nnz = _direct(normal, b_band, opts.cg_rel_tol)
-        y = x.reshape([shape[k] for k in axes]).transpose(np.argsort(axes)).ravel()
-    else:
+        band_shape = [shape[a] for a in axes]
+        y = x.reshape(k, *band_shape).transpose(np.argsort(order)).reshape(k, -1)
+    elif b.any():
         max_iters = opts.cg_max_iters or 10 * b.size
-        y, iters, _ = _cg(normal, b, opts.cg_rel_tol, max_iters, shape)
-    correction = op.apply_transpose(y)
-    u = v.values + correction
-    field = DensityField(v.grid, u)
-    report = SolveReport(
-        iterations=iters,
-        factor_nnz=factor_nnz,
-        residual_constraint=float(np.max(np.abs(op.apply(u)))),
-        distance=float(np.linalg.norm(correction)),
-        min_value=field.min_value,
-        wall_time=time.perf_counter() - t0,
+        y, iters, _ = _cg(normal, b[0], opts.cg_rel_tol, max_iters, shape)
+    else:
+        y = np.zeros_like(b)
+    correction = op.apply_transpose(y).reshape(k, -1)
+    u = values + correction
+    residual = np.max(np.abs(op.apply(u).reshape(k, -1)), axis=1)
+    fields = [DensityField(f.grid, row) for f, row in zip(refs, u)]
+    wall = time.perf_counter() - t0
+    members = tuple(
+        SolveReport(
+            iterations=iters,
+            factor_nnz=nnz,
+            residual_constraint=float(res),
+            distance=float(np.linalg.norm(c)),
+            min_value=fld.min_value,
+            wall_time=wall / k,
+        )
+        for nnz, res, c, fld in zip(factor_nnz, residual, correction, fields)
     )
-    return field, report
+    if not op.stack:
+        return fields[0], members[0]
+    report = SolveReport(
+        iterations=sum(r.iterations for r in members),
+        factor_nnz=sum(factor_nnz),
+        residual_constraint=max(r.residual_constraint for r in members),
+        distance=float(np.linalg.norm(correction)),
+        min_value=min(r.min_value for r in members),
+        wall_time=wall,
+        members=members,
+    )
+    return fields, report

@@ -12,6 +12,8 @@ from fpblock import (
     ConfigurationError,
     DensityField,
     Grid,
+    ModelSpec,
+    RankDeficiencyError,
     assemble,
     collage,
     enumerate_blocks,
@@ -27,6 +29,7 @@ from fpblock import (
     worst_residual,
     zero_drift_model,
 )
+from fpblock.leastnorm import stack_limit
 from oracles import per_block_shifting, per_block_solve
 
 
@@ -193,6 +196,48 @@ def test_windows_equal_per_block_assembly_on_a_3d_rossler_partition():
     assert np.array_equal(fld.values, expected.values)
     assert [_outcome(r) for r in reports] == [_outcome(r) for r in expected_reports]
     assert all(r.iterations > 0 for r in reports)
+
+
+@pytest.mark.parametrize("method", ["plain", "overlap", "shift"])
+def test_stacks_of_many_same_shape_blocks_equal_per_block_solves(method):
+    # 64 blocks of 16^2 (h = 1/32) outnumber one stack, with or without the
+    # halo, so each shape is cut into several stacks, and every block keeps
+    # the numbers of its own solve; the shifts are by halves, whose edge
+    # blocks of 8 cells stack too
+    assert 49 > stack_limit((16, 16)) and 64 > stack_limit((18, 18))
+    (fld, reports), (expected, expected_reports) = _windowed_and_per_block(
+        method, ring_model(), Grid((-2.0, -2.0), (2.0, 2.0), (128, 128)), (8, 8),
+        _noisy_ring, (0.5, 0.0),
+    )
+    assert np.array_equal(fld.values, expected.values)
+    assert [_outcome(r) for r in reports] == [_outcome(r) for r in expected_reports]
+
+
+def test_stacks_on_a_1d_partition_equal_per_block_solves():
+    # the shifted rounds add partial edge blocks, stacks of other shapes
+    ou = ModelSpec(name="ou", dim=1, drift=lambda p: -4.0 * np.asarray(p), epsilon=0.5)
+    (fld, reports), (expected, expected_reports) = _windowed_and_per_block(
+        "shift", ou, Grid((-1.0,), (1.0,), (64,)), (4,), _uniform, DEFAULT_SHIFT_SCHEDULE,
+    )
+    assert np.array_equal(fld.values, expected.values)
+    assert [_outcome(r) for r in reports] == [_outcome(r) for r in expected_reports]
+    assert all(r.factor_nnz > 0 for r in reports)
+
+
+def test_rank_deficient_stack_member_names_its_block(monkeypatch):
+    # an empty interior row in block (1, 0) gives its normal system a zero
+    # pivot, while the other members of its stack factor fine
+    g = Grid((-2.0, -2.0), (2.0, 2.0), (64, 64))
+    assert stack_limit((32, 32)) > 1
+    whole = assemble(ring_model(), g)
+    whole.coefficients[:, 39, 9] = 0.0
+    monkeypatch.setattr(fpblock.blocks, "assemble", lambda model, grid: whole)
+    cfg = BlockSolveConfig(partition=BlockPartition(g, (2, 2)))
+    with pytest.raises(
+        RankDeficiencyError,
+        match=r"^block \(1, 0\), cells \(\(32, 64\), \(0, 32\)\): banded Cholesky",
+    ):
+        solve_blocks(ring_model(), _noisy_ring(g), cfg)
 
 
 def test_drift_not_finite_at_an_interior_block_corner_fails_before_any_solve(

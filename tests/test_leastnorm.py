@@ -424,6 +424,48 @@ def test_non_finite_reference_fails_before_the_normal_matrix(model, grid, bad, m
     assert calls == []
 
 
+def test_non_finite_reference_in_one_stack_member_fails_before_the_normal_matrix(
+    monkeypatch,
+):
+    grid = Grid((-2.0, -2.0), (2.0, 2.0), (32, 32))
+    op = assemble(ring_model(), grid)
+    stack = InteriorOperator(grid, np.stack([op.coefficients] * 3))
+    values = np.random.default_rng(5).random((3, grid.num_cells))
+    values[1, 7] = np.nan
+    calls = []
+    monkeypatch.setattr(InteriorOperator, "normal_matrix", lambda *a, **k: calls.append(1))
+    with pytest.raises(ConfigurationError, match="holds 1 non-finite"):
+        solve_least_norm(stack, [DensityField(grid, row) for row in values])
+    assert calls == []
+
+
+def test_a_stack_solves_each_member_as_alone_and_totals_its_report():
+    # three 32^2 ring blocks, one with a zero reference, which is not factored
+    grids = [Grid((x, -2.0), (x + 2.0, 0.0), (32, 32)) for x in (-2.0, 0.0)]
+    grids.append(grids[0])
+    ops = [assemble(ring_model(), g) for g in grids]
+    refs = [
+        synthetic_reference(DensityField.from_function(g, ring_exact_density()), 0.01, seed)
+        for seed, g in enumerate(grids[:2])
+    ]
+    refs.append(DensityField(grids[2], np.zeros(grids[2].num_cells)))
+    stack = InteriorOperator(grids[0], np.stack([op.coefficients for op in ops]))
+    fields, report = solve_least_norm(stack, refs)
+    alone = [solve_least_norm(op, v) for op, v in zip(ops, refs)]
+    for fld, member, (want, want_report) in zip(fields, report.members, alone):
+        assert fld.grid == want.grid
+        assert np.array_equal(fld.values, want.values)
+        assert replace(member, wall_time=0.0) == replace(want_report, wall_time=0.0)
+    assert [m.factor_nnz > 0 for m in report.members] == [True, True, False]
+    assert report.factor_nnz == sum(m.factor_nnz for m in report.members)
+    assert report.iterations == 0
+    assert report.residual_constraint == max(m.residual_constraint for m in report.members)
+    assert report.min_value == min(m.min_value for m in report.members)
+    distances = [m.distance for m in report.members]
+    assert report.distance == pytest.approx(np.linalg.norm(distances))
+    assert report.wall_time == pytest.approx(sum(m.wall_time for m in report.members))
+
+
 def test_breakdown_on_singular_normal_matrix():
     mat = scipy.sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(RankDeficiencyError):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from fpblock import (
     ConfigurationError,
     DensityField,
     DimensionError,
     Grid,
+    InteriorOperator,
     SizeError,
     ModelSpec,
     assemble,
@@ -88,6 +90,28 @@ def test_stencil_operator_matches_coo_assembly(model, grid):
     au, aty = reference @ u, reference.T @ y
     assert np.max(np.abs(op.apply(u) - au)) <= 1e-14 * np.max(np.abs(au))
     assert np.max(np.abs(op.apply_transpose(y) - aty)) <= 1e-14 * np.max(np.abs(aty))
+
+
+def test_a_stack_is_the_block_diagonal_matrix_of_its_members():
+    # three boxes of one shape; every entry coupling two members is an exact
+    # zero, and each member's rows are those of its own operator to the bit
+    grids = [Grid((x, 0.0), (x + 0.7, 0.9), (7, 9)) for x in (-2.0, -0.5, 1.0)]
+    ops = [assemble(ring_model(), g) for g in grids]
+    stack = InteriorOperator(grids[0], np.stack([op.coefficients for op in ops]))
+    assert stack.stack == (3,) and ops[0].stack == ()
+    assert stack.shape == (3 * 35, 3 * 63)
+    assert (stack.matrix != scipy.sparse.block_diag([op.matrix for op in ops])).nnz == 0
+    for axes in [(0, 1), (1, 0)]:
+        expected = scipy.sparse.block_diag([op.normal_matrix(axes) for op in ops])
+        assert np.array_equal(stack.normal_matrix(axes).toarray(), expected.toarray())
+    rng = np.random.default_rng(4)
+    u, y = rng.normal(size=(3, 63)), rng.normal(size=(3, 35))
+    assert np.array_equal(stack.apply(u), [op.apply(x) for op, x in zip(ops, u)])
+    assert np.array_equal(
+        stack.apply_transpose(y), [op.apply_transpose(x) for op, x in zip(ops, y)]
+    )
+    with pytest.raises(DimensionError):
+        stack.apply(u[:2])
 
 
 def test_apply_is_linear():

@@ -6,10 +6,13 @@ refuses to start if one of those names is gone. This test catches such a
 rename or deletion without running the benchmark. The other tests check
 that every least-norm solve still forms the normal matrix the per-layer
 metrics read, and, through the tracer itself, what a block solve records:
-one assembly and one drift call per partition, one solve per block.
+one assembly and one drift call per partition, one solve per stack of
+same-shape 2-D blocks and per 3-D block, and the per-layer metrics that
+``perfbench/run.py --trace 1`` computes from those spans.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,7 @@ from fpblock import (
     rossler_model,
     solve_least_norm,
 )
+from fpblock.leastnorm import stack_limit
 
 _SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 _spec = importlib.util.spec_from_file_location("perfbench_spans", _SPANS)
@@ -85,6 +89,15 @@ def tracer():
         t.uninstall()
 
 
+def _stacks(partition, iota):
+    """The solve_least_norm calls of one solve_blocks round: one per stack of
+    same-shape blocks."""
+    shapes = Counter(
+        tuple(b - a + 2 * iota for a, b in block.core) for block in enumerate_blocks(partition)
+    )
+    return sum(-(-count // stack_limit(shape)) for shape, count in shapes.items())
+
+
 @pytest.mark.parametrize(
     "model, grid, blocks, method",
     [
@@ -97,8 +110,9 @@ def tracer():
 )
 def test_block_solves_trace_one_assembly_per_partition(model, grid, blocks, method, tracer):
     # per-layer metrics count operator.assemble and drift calls per operation,
-    # and leastnorm.solves per block: each partition's operator is assembled
-    # once, on its whole grid, and every block solves on a window of it
+    # and leastnorm.solves per solve_least_norm call: each partition's
+    # operator is assembled once, on its whole grid, and every block solves on
+    # a window of it, 2-D blocks of one shape as stacks and 3-D blocks alone
     cfg = BlockSolveConfig(
         partition=BlockPartition(grid, blocks), solve=SolveOptions(cg_rel_tol=1e-6)
     )
@@ -119,7 +133,10 @@ def test_block_solves_trace_one_assembly_per_partition(model, grid, blocks, meth
     for span, part in zip(rounds, partitions):
         children = [s.name for s in tracer.spans if s.parent == span.id]
         assert children.count("operator.assemble") == 1
-        assert children.count("leastnorm.solve_least_norm") == len(enumerate_blocks(part))
+        assert children.count("leastnorm.solve_least_norm") == _stacks(part, iota)
+    stacks = sum(_stacks(part, iota) for part in partitions)
+    blocks_solved = sum(len(enumerate_blocks(part)) for part in partitions)
+    assert (stacks == blocks_solved) == (grid.dim == 3)
     assert sum(s.drift_calls for s in (tracer.root, *tracer.spans)) == len(partitions)
     for solve in (s for s in tracer.spans if s.name == "leastnorm.solve_least_norm"):
         normal = [
@@ -128,3 +145,12 @@ def test_block_solves_trace_one_assembly_per_partition(model, grid, blocks, meth
         ]
         assert len(normal) == 1
         assert type(normal[0].attrs["nnz"]) is int and normal[0].attrs["nnz"] > 0
+    # what perfbench/run.py --trace 1 computes from an operation's spans
+    layers = {"models", "operator", "leastnorm", "blocks"} | (
+        {"repair"} if method == "shift" else set()
+    )
+    spans.require_layers(tracer.spans, tracer.root, layers)
+    metrics = spans.layer_metrics(tracer.spans, tracer.root, fpblock.repair.interface_jump)
+    assert metrics["leastnorm.solves"] == stacks
+    assert metrics["operator.assemble_calls"] == len(partitions)
+    assert 0.0 < metrics["leastnorm.worst_residual"] < 1e-3
