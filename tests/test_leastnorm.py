@@ -200,8 +200,15 @@ _MULTIGRID_GRIDS = pytest.mark.parametrize(
 )
 
 
+@pytest.fixture
+def float64_hierarchy(monkeypatch):
+    # the hierarchy is built in float64 and rounded to float32 by one cast;
+    # with that cast a no-op, the cycle is the float64 one, exact to rounding
+    monkeypatch.setattr("fpblock.leastnorm._single", lambda a: a)
+
+
 @_MULTIGRID_GRIDS
-def test_multigrid_preconditioner_is_symmetric_positive_definite(model, grid):
+def test_multigrid_preconditioner_is_symmetric_positive_definite(model, grid, float64_hierarchy):
     # CG is only valid with a symmetric positive definite preconditioner
     op = assemble(model, grid)
     normal = op.normal_matrix()
@@ -215,7 +222,7 @@ def test_multigrid_preconditioner_is_symmetric_positive_definite(model, grid):
 
 
 @_MULTIGRID_GRIDS
-def test_stored_prolongator_equals_the_on_the_fly_product(model, grid):
+def test_stored_prolongator_equals_the_on_the_fly_product(model, grid, float64_hierarchy):
     # below the fine level P = (I - W M) T is stored; its products must be
     # the on-the-fly ones, edge aggregates and dropped candidates included
     op = assemble(model, grid)
@@ -243,7 +250,9 @@ def test_stored_prolongator_equals_the_on_the_fly_product(model, grid):
 
 
 @_MULTIGRID_GRIDS
-def test_tentative_prolongator_is_orthonormal_and_reproduces_its_candidates(model, grid):
+def test_tentative_prolongator_is_orthonormal_and_reproduces_its_candidates(
+    model, grid, float64_hierarchy
+):
     # each level's T, rebuilt from the candidates 1 and the centred
     # coordinates, holds m = d + 1 entries per row; T R gives back the
     # candidates, and T^T T is the identity on every kept column
@@ -268,6 +277,81 @@ def test_tentative_prolongator_is_orthonormal_and_reproduces_its_candidates(mode
     # a one-wide edge aggregate drops the linear candidate across it, on the
     # fine level and again on the coarse node it becomes
     assert dropped == {(66, 66): [44, 16], (2001,): [1, 1, 1]}.get(grid.n, [0] * len(levels))
+
+
+@_MULTIGRID_GRIDS
+def test_multigrid_cycle_is_stored_in_float32_and_positive(model, grid):
+    # every level is stored and cycled in float32, the coarsest factor stays
+    # float64; rounding leaves B symmetric only to float32 precision (about
+    # 1e-8 here), which flexible CG does not rely on, and positive
+    op = assemble(model, grid)
+    normal = op.normal_matrix()
+    precondition = _vcycle(normal, 1.0 / normal.diagonal(), op.interior_shape)
+    levels, coarsest = precondition.args
+    for lvl in levels:
+        stored = [lvl.mat.data, lvl.w, lvl.t.data] + ([] if lvl.p is None else [lvl.p.data])
+        assert all(a.dtype == np.float32 for a in stored)
+    assert coarsest.args[0][0].dtype == np.float64
+    assert normal.dtype == np.float64
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        x, y = rng.normal(size=(2, normal.shape[0]))
+        bx, by = precondition(x), precondition(y)
+        assert bx.dtype == np.float64
+        assert bx @ x > 0.0
+        assert abs(bx @ y - x @ by) <= 1e-5 * np.linalg.norm(bx) * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize(
+    "model, grid, field_tol",
+    [
+        (ring_model(), Grid((-2.0, -2.0), (2.0, 2.0), (64, 64)), 1e-12),
+        (ring_model(), Grid((-2.0, -2.0), (2.0, 2.0), (128, 128)), 1e-12),
+        (ring_model(), Grid((-2.0, -2.0), (2.0, 2.0), (256, 256)), 1e-12),
+        # the line's normal system fixes its field only to about 1e-8 in
+        # float64 itself: CG with the classical and the flexible beta, both in
+        # float64, differ by 7.6e-9 there, at a tolerance of 1e-10 or 1e-13
+        (zero_drift_model(1), Grid((0.0,), (1.0,), (2001,)), 1e-7),
+    ],
+    ids=["ring-64^2", "ring-128^2", "ring-256^2", "line-2001"],
+)
+def test_float32_cycle_takes_the_float64_iterations_and_field(model, grid, field_tol, monkeypatch):
+    # the ring's 34, 43 and 54 iterations, and 35 on the line, which CG
+    # solves only when called directly: solve_least_norm factors it
+    op = assemble(model, grid)
+    if grid.dim == 2:
+        v = synthetic_reference(
+            DensityField.from_function(grid, ring_exact_density()), zeta=0.01, seed=0
+        ).values
+    else:
+        v = np.random.default_rng(0).random(grid.num_cells)
+    b = -op.apply(v)
+
+    def solve():
+        y, iters, _ = _cg(op.normal_matrix(), b, 1e-10, 10 * b.size, op.interior_shape)
+        return v + op.apply_transpose(y), iters
+
+    u, iters = solve()
+    monkeypatch.setattr("fpblock.leastnorm._single", lambda a: a)
+    u64, iters64 = solve()
+    assert iters == iters64 > 0
+    assert np.max(np.abs(u - u64)) <= field_tol * np.max(np.abs(u64))
+
+
+@pytest.mark.parametrize("scale", [1e-36, 1e-30, 1e30, 1e36])
+def test_whole_solve_is_free_of_the_reference_scale(scale):
+    # the cycle scales each residual to max|r| = 1 before rounding it to
+    # float32; unscaled, b underflows there at 1e-36 (r.z = 0) and loses
+    # digits at 1e-30 (35 iterations for 34)
+    grid = Grid((-2.0, -2.0), (2.0, 2.0), (64, 64))
+    v = synthetic_reference(
+        DensityField.from_function(grid, ring_exact_density()), zeta=0.01, seed=0
+    )
+    op = assemble(ring_model(), grid)
+    u, report = solve_least_norm(op, v)
+    scaled, scaled_report = solve_least_norm(op, DensityField(grid, scale * v.values))
+    assert scaled_report.iterations == report.iterations
+    assert np.max(np.abs(scaled.values / scale - u.values)) <= 1e-12 * np.max(np.abs(u.values))
 
 
 def test_whole_128_ring_projection_agrees_with_jacobi_in_few_iterations():
