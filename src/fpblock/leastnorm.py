@@ -24,7 +24,9 @@ linear functions). Each level's tentative prolongator is one CSR matrix with
 d + 1 entries per row. The smoothed prolongator is applied on the fly on the
 fine level, where A A^T has 13 diagonals, and stored on the coarser levels,
 where the Galerkin operators have 85, as a CSC matrix whose columns are
-gathered from their windows around each aggregate. The levels are built in
+gathered from their windows around each aggregate. The first coarse operator
+is the Gram matrix (A^T P)^T (A^T P), read from 3^d (d + 1) probes of A^T P,
+and the coarser ones are probed products P^T M P. The levels are built in
 float64 and stored in float32, in which the cycle runs on each residual
 scaled to max|r| = 1 (Goddeke, Strzodka and Turek, 2007); CG stays float64
 and takes the flexible beta of Notay (SISC 22, 2000). A 3-D system is
@@ -38,6 +40,7 @@ result equals v plus the kernel-orthogonal move of minimal length.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -318,6 +321,12 @@ class _Level:
     def coarse_shape(self) -> tuple[int, ...]:
         return tuple(-(-n // _AGGREGATE) for n in self.shape)
 
+    @functools.cached_property
+    def _transpose(self) -> sparse.csr_matrix:
+        """restrict's view p.T, or t.T on the fine level: each .T is a new
+        scipy matrix that checks its format, about 30 us."""
+        return (self.t if self.p is None else self.p).T
+
     def round(self) -> None:
         """Rounds w, t and p by _single, t and p in place, so that their index
         arrays are shared, where scipy's astype would copy them."""
@@ -325,6 +334,8 @@ class _Level:
         self.t.data = _single(self.t.data)
         if self.p is not None:
             self.p.data = _single(self.p.data)
+        # a view kept from before would hold, and restrict by, the float64 data
+        self.__dict__.pop("_transpose", None)
 
     def round_matrix(self) -> None:
         """Rounds mat by _single into a new DIA matrix: the fine level's is
@@ -355,10 +366,10 @@ class _Level:
     def restrict(self, r: np.ndarray) -> np.ndarray:
         """P^T r = T^T (r - M W r)."""
         if self.p is not None:
-            return self.p.T @ r
+            return self._transpose @ r
         q = self.mat @ (self.w * r)
         np.subtract(r, q, out=q)
-        return self.t.T @ q
+        return self._transpose @ q
 
 
 def _stored_prolongator(lvl: _Level, radius: int):
@@ -401,36 +412,58 @@ def _stored_prolongator(lvl: _Level, radius: int):
     return sparse.csc_matrix((data[inside], rows, indptr), shape=lvl.t.shape)
 
 
+def _layout(shape: tuple[int, ...], radius: int):
+    """The DIA layout of an operator on nodes of shape with d + 1 unknowns
+    each, coupling nodes up to radius apart: the node offsets, their flat
+    shifts, the diagonals, and the index of each (offset, row and column
+    component) among them."""
+    d = len(shape)
+    offsets = np.indices((2 * radius + 1,) * d).reshape(d, -1) - radius
+    shift = np.array([math.prod(shape[a + 1 :]) for a in range(d)]) @ offsets
+    comp = np.arange(d + 1)
+    flat = (d + 1) * shift[:, None, None] + comp - comp[:, None]
+    diagonals = np.unique(flat[np.all(np.abs(offsets) < np.array(shape)[:, None], axis=0)])
+    return offsets, shift, diagonals, np.searchsorted(diagonals, flat)
+
+
+def _symmetric(lvl: _Level, data: np.ndarray, diagonals: np.ndarray):
+    """lvl's coarse operator as a DIA matrix from data filled on and above the
+    main diagonal: the diagonals below become copies of their mirrors, and an
+    unknown whose tentative column was dropped gets a unit diagonal."""
+    from scipy import sparse
+
+    size = data.shape[1]
+    zero = int(np.searchsorted(diagonals, 0))
+    for j, f in enumerate(diagonals[:zero]):
+        data[j, : size + f] = data[np.searchsorted(diagonals, -f), -f:]
+    dropped = np.ones(size, dtype=bool)
+    dropped[lvl.t.indices[lvl.t.data != 0.0]] = False
+    data[zero, dropped] = 1.0
+    return sparse.dia_matrix((data, diagonals), shape=(size, size))
+
+
 def _galerkin(lvl: _Level, radius: int):
     """P^T M P on lvl's coarse grid as a DIA matrix, its couplings reaching at
-    most radius nodes along each axis, found by probing.
+    most radius nodes along each axis, found by probing: the operator of
+    every level below the first, whose M is no longer a stencil's A A^T.
 
     Coarse nodes are coloured by their indices modulo 2 radius + 1, so the
     product with the sum of one colour's unit vectors in one component holds,
     in each row, the entry in that component of the one node of that colour
-    it couples to. Each is written straight into its diagonal. The diagonals
-    below the main one are then copies of their mirrors, so the result is
-    exactly symmetric. An unknown whose tentative column was dropped couples
-    to nothing, T's column of it being empty, and gets a unit diagonal.
+    it couples to. Each is written straight into its diagonal, and
+    _symmetric mirrors them.
     """
-    from scipy import sparse
-
     shape = lvl.coarse_shape
     m = len(shape) + 1
     width = 2 * radius + 1
     box = (width,) * len(shape)
     cells = np.indices(shape).reshape(len(shape), -1)
-    offsets = np.indices(box).reshape(len(shape), -1) - radius
+    offsets, shift, diagonals, where = _layout(shape, radius)
     n, k = cells.shape[1], offsets.shape[1]
     inside = np.ones((n, k), dtype=bool)
     for c, o, s in zip(cells, offsets, shape):
         inside &= (c[:, None] + o >= 0) & (c[:, None] + o < s)
-    shift = np.array([math.prod(shape[a + 1 :]) for a in range(len(shape))]) @ offsets
     comp = np.arange(m)
-    # the flat diagonal of row component c and column component c' at offset o
-    flat = m * shift[:, None, None] + comp - comp[:, None]
-    diagonals = np.unique(flat[inside.any(axis=0)])
-    where = np.searchsorted(diagonals, flat)
     size = n * m
     data = np.zeros((len(diagonals), size))
     colours = np.ravel_multi_index(cells % width, box)
@@ -448,59 +481,132 @@ def _galerkin(lvl: _Level, radius: int):
             e[colours == colour, c] = 1.0
             block[:, :, c] = lvl.restrict(lvl.mat @ lvl.prolong(e.ravel())).reshape(n, m)
         data.reshape(-1)[slots] = block[rows]
-    zero = int(np.searchsorted(diagonals, 0))
-    for j, f in enumerate(diagonals[:zero]):
-        data[j, : size + f] = data[np.searchsorted(diagonals, -f), -f:]
-    dropped = np.bincount(lvl.t.indices, lvl.t.data != 0.0, size) == 0
-    data[zero, dropped] = 1.0
-    return sparse.dia_matrix((data, diagonals), shape=(size, size))
+    return _symmetric(lvl, data, diagonals)
 
 
-def _vcycle(mat, dinv: np.ndarray, shape: tuple[int, ...]):
+def _spans(start, a, b) -> list[slice]:
+    """Per axis, the slice start + 3 j for j from a to b."""
+    return [slice(s + 3 * lo, s + 3 * hi - 2, 3) for s, lo, hi in zip(start, a, b)]
+
+
+def _block_probes(lvl: _Level, op: InteriorOperator, colour: tuple[int, ...], blocks):
+    """A^T P on one colour's coarse unit vectors in each component, on the
+    grid padded by 2 cells at the low edge and cut into blocks[k] blocks of 3
+    cells along axis k: by component, cell of a block and block."""
+    d, m = len(blocks), len(blocks) + 1
+    out = np.empty((m, *(3,) * d, *blocks))
+    for c in range(m):
+        e = np.zeros((*lvl.coarse_shape, m))
+        e[(*(slice(k, None, 3) for k in colour), c)] = 1.0
+        probe = op.apply_transpose(lvl.prolong(e.ravel())).reshape(op.grid.n)
+        probe = np.pad(probe, [(2, 3 * b - 2 - n) for b, n in zip(blocks, op.grid.n)])
+        probe = probe.reshape(*(x for b in blocks for x in (b, 3)))
+        out[c] = probe.transpose(*range(1, 2 * d, 2), *range(0, 2 * d, 2))
+    return out
+
+
+def _gram(lvl: _Level, op: InteriorOperator):
+    """The fine level's P^T M P, whose M is A A^T, as the Gram matrix
+    (A^T P)^T (A^T P) in _galerkin's layout with radius 2.
+
+    Column (J, c) of A^T P lives on cells 3 J - 2 to 3 J + 6 along each axis
+    (P reaches two interior nodes past aggregate J, A^T one cell more), the
+    blocks J to J + 2 of _block_probes. These windows tile the grid for one
+    colour's nodes, so its probe holds each of their columns. Nodes J and
+    K = J + o share the blocks J + [max(o, 0), 3 + min(o, 0)), so one product
+    of two colours' probes, summed over each block, serves every offset
+    between them. Offsets of non-negative flat shift are summed; _symmetric
+    mirrors them.
+    """
+    coarse, d = lvl.coarse_shape, len(lvl.shape)
+    m = d + 1
+    offsets, shift, diagonals, where = _layout(coarse, 2)
+    colours = list(np.ndindex(*(3,) * d))
+    # per pair of colours, lower first, the blocks to sum for each offset from
+    # a node J = colour + 3 j of one to K = to + 3 j' of the other, for the j
+    # from a to b with J and K inside, the slots of the sums and their array,
+    # allocated before the probes so that these leave one free stretch for
+    # the operator: sums made between them split it, and ring-whole-128 peak
+    # RSS read about +1 MB against +0.2 MB
+    plan = {}
+    for i in np.flatnonzero(shift >= 0):
+        o = offsets[:, i].tolist()
+        for k, colour in enumerate(colours):
+            to = [x + y for x, y in zip(colour, o)]
+            a = [max(-(t // 3), 0) for t in to]
+            b = [(n - 1 - x - max(y, 0)) // 3 + 1 for n, x, y in zip(coarse, colour, o)]
+            if all(hi > lo for lo, hi in zip(a, b)):
+                other = colours.index(tuple(t % 3 for t in to))
+                shared = itertools.product(*(range(max(y, 0), 3 + min(y, 0)) for y in o))
+                reads = [(..., *_spans(np.add(colour, z), a, b)) for z in shared]
+                # the sums run over the lower colour's components first
+                comp = np.arange(m) if k <= other else np.arange(m)[:, None]
+                slots = (where[i] if k <= other else where[i].T, *_spans(to, a, b), comp)
+                sums = np.empty((m, m, *(hi - lo for lo, hi in zip(a, b))))
+                plan.setdefault((min(k, other), max(k, other)), []).append((reads, slots, sums))
+    subscripts = "a{0}{1},b{0}{1}->ab{1}".format("xy"[:d], "IJ"[:d])
+    probes = [_block_probes(lvl, op, colour, tuple(n + 2 for n in coarse)) for colour in colours]
+    for p in range(len(colours)):
+        for q in range(p, len(colours)):
+            products = np.einsum(subscripts, probes[p], probes[q])
+            for reads, _, sums in plan.get((p, q), ()):
+                sums[...] = sum(products[r] for r in reads)
+        # all 27 probes a cell (2-D) are gone before the operator is allocated
+        probes[p] = products = None
+    data = np.zeros((len(diagonals), math.prod(coarse) * m))
+    for _, slots, sums in itertools.chain(*plan.values()):
+        data.reshape(len(diagonals), *coarse, m)[slots] = sums
+    return _symmetric(lvl, data, diagonals)
+
+
+def _vcycle(mat, dinv: np.ndarray, op: InteriorOperator):
     """The symmetric V-cycle z = B r of smoothed aggregation with linear
     candidates (Vanek, Mandel and Brezina, Computing 56, 1996; Vanek, Brezina
     and Mandel, Numer. Math. 88, 2001), as a function.
 
-    mat is a stencil system on the tensor grid shape whose couplings reach at
-    most two cells along each axis, as every normal matrix A A^T of the
-    interior operator's nearest-neighbour stencil does. A A^T is a
-    fourth-order operator, so linear functions are near its kernel as well as
-    constants: the candidates are 1 and the d coordinates. Each level
+    mat is A A^T of the interior operator op, on the tensor grid of op's
+    interior, so its couplings reach at most two cells along each axis. It is
+    a fourth-order operator, so linear functions are near its kernel as well
+    as constants: the candidates are 1 and the d coordinates. Each level
     orthonormalises them on blocks of _AGGREGATE^d nodes into the tentative
     prolongator T (_tentative), whose coefficients are the candidates of the
     next level, where every node carries d + 1 unknowns. T is smoothed by one
     Jacobi step, P = (I - omega D^-1 M) T with omega = 4 / (3 lambda), and
-    P^T M P passes down. lambda is _POWER_SAFETY times a power-method estimate
-    of the spectral radius of D^-1 M: on the 128^2 ring's first coarse level
-    the Gershgorin bound reads 3.96 where the radius is 2.16, and smoothing
-    with it took the cycle from 43 to 100 iterations. On the fine level P is
-    applied on the fly, T as its CSR matrix and the smoothing as one product
-    with M, which has only 13 diagonals there: a stored P would hold about 187 k
-    entries (2.25 MB) at 128^2 and saves no time. A coarser M has 85, three
-    products with it per probe of the next Galerkin product, so each coarser
-    level stores P once as CSC, gathered column by column from the on-the-fly
-    product (_stored_prolongator, about a quarter of the bytes of its M), and
-    restricts by its CSR view, the same numbers. Levels
-    are built until at most _COARSEST_ROWS rows remain, which are factored
-    by dense Cholesky. The cycle runs two damped Jacobi steps,
-    with the same omega, before and after the coarse correction and restricts
-    by P^T, so B is symmetric, and positive definite while omega times the
-    true radius stays below 2; _cg checks that it does. Each level is rounded
-    to float32 once the next one is built, its matrix last, but the fine copy
-    of A A^T waits for the coarsest factor (ring-whole-128 peak RSS +0.3 MB,
-    against up to +1.5 MB with the whole fine level rounded last). The float32
-    cycle takes 1.6 ms at 128^2, against 3.9, with the same CG iterations.
+    P^T M P passes down, from the fine level as the Gram matrix of _gram: its
+    27 probes in 2-D make one product with M and one with A^T each, where
+    _galerkin's 75 make three with M. lambda is _POWER_SAFETY times a
+    power-method estimate of the spectral radius of D^-1 M: on the 128^2 ring's
+    first coarse level the Gershgorin bound reads 3.96 where the radius is
+    2.16, and smoothing with it took the cycle from 43 to 100 iterations. On
+    the fine level P is applied on the fly, T as its CSR matrix and the
+    smoothing as one product with M, which has only 13 diagonals there: a
+    stored P would hold about 187 k entries (2.25 MB) at 128^2 and saves no
+    time. A coarser M has 85, and P on the fly would add two products with it
+    to each probe of _galerkin and to each cycle, so each coarser level stores
+    P once as CSC, gathered column by column from the on-the-fly product
+    (_stored_prolongator, about a quarter of the bytes of its M), and
+    restricts by its CSR view, the same numbers. Levels are built until at
+    most _COARSEST_ROWS rows remain, which are factored by dense Cholesky. The
+    cycle runs two damped Jacobi steps, with the same omega, before and after
+    the coarse correction and restricts by P^T, so B is symmetric, and
+    positive definite while omega times the true radius stays below 2; _cg
+    checks that it does. Each level is rounded to float32 once the next one is
+    built, its matrix last, but the fine copy of A A^T waits for the coarsest
+    factor (ring-whole-128 peak RSS +0.3 MB, against up to +1.5 MB with the
+    whole fine level rounded last). The float32 cycle takes 1.6 ms at 128^2,
+    against 3.9, with the same CG iterations.
     """
     from scipy.linalg import cho_factor, cho_solve
 
     levels = []
     radius = 2
     comps = 1
+    shape = op.interior_shape
     d = len(shape)
     # 1 and the coordinates, centred on the grid to keep the Gram-Schmidt
     # differences small
-    centred = np.indices(shape).reshape(d, -1).T - (np.array(shape) - 1) / 2
-    candidates = np.column_stack([np.ones(mat.shape[0]), centred])
+    candidates = np.indices(shape).reshape(d, -1).T - (np.array(shape) - 1) / 2
+    candidates = np.column_stack([np.ones(mat.shape[0]), candidates])
     try:
         while mat.shape[0] > _COARSEST_ROWS:
             omega = 4.0 / (3.0 * _POWER_SAFETY * _spectral_radius(mat, dinv))
@@ -512,7 +618,7 @@ def _vcycle(mat, dinv: np.ndarray, shape: tuple[int, ...]):
             # P reaches radius nodes past a block, so two coarse nodes couple
             # when their blocks lie within 3 radius fine nodes of each other
             radius = (_AGGREGATE - 1 + 3 * radius) // _AGGREGATE
-            mat = _galerkin(lvl, radius)
+            mat = _galerkin(lvl, radius) if len(levels) > 1 else _gram(lvl, op)
             lvl.round()
             if len(levels) > 1:
                 lvl.round_matrix()
@@ -558,15 +664,16 @@ def _cg(
     b: np.ndarray,
     rel_tol: float,
     max_iters: int,
-    shape: tuple[int, ...] | None = None,
+    op: InteriorOperator | None = None,
 ):
     """Preconditioned conjugate gradients on an SPD sparse matrix, with the
     history of the unpreconditioned ||b - M x||, which is also what the
     stopping test reads.
 
-    shape is the tensor grid of the system's rows. On a 1-D or 2-D grid the
-    preconditioner is the smoothed-aggregation V-cycle of _vcycle; on a 3-D
-    grid, or with no shape, it is the diagonal (Jacobi), since on 3-D blocks
+    op is the interior operator whose A A^T mat is, its rows on op's
+    interior in natural order. On a 1-D or 2-D grid the preconditioner is
+    the smoothed-aggregation V-cycle of _vcycle; on a 3-D grid, or with no
+    op, it is the diagonal (Jacobi), since on 3-D blocks
     the V-cycle's set-up and extra products cost more than the iterations it
     saves. A non-positive diagonal raises before the preconditioner is built,
     and a preconditioned residual with r.z <= 0 raises too: the V-cycle's
@@ -583,8 +690,8 @@ def _cg(
             "has an empty row"
         )
     dinv = 1.0 / diag
-    if shape is not None and len(shape) <= 2:
-        name, vcycle = "multigrid V-cycle", _vcycle(mat, dinv, shape)
+    if op is not None and op.grid.dim <= 2:
+        name, vcycle = "multigrid V-cycle", _vcycle(mat, dinv, op)
     else:
         name, vcycle = "Jacobi", None
 
@@ -690,7 +797,7 @@ def solve_least_norm(
         y = x.reshape(k, *band_shape).transpose(np.argsort(order)).reshape(k, -1)
     elif b.any():
         max_iters = opts.cg_max_iters or 10 * b.size
-        y, iters, _ = _cg(normal, b[0], opts.cg_rel_tol, max_iters, shape)
+        y, iters, _ = _cg(normal, b[0], opts.cg_rel_tol, max_iters, op)
     else:
         y = np.zeros_like(b)
     correction = op.apply_transpose(y).reshape(k, -1)

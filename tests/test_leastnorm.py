@@ -28,7 +28,16 @@ from fpblock import (
     synthetic_reference,
     zero_drift_model,
 )
-from fpblock.leastnorm import _band_axes, _cg, _direct, _lower_band, _tentative, _vcycle
+from fpblock.leastnorm import (
+    _band_axes,
+    _cg,
+    _direct,
+    _galerkin,
+    _gram,
+    _lower_band,
+    _tentative,
+    _vcycle,
+)
 from oracles import gathered_band
 
 
@@ -212,7 +221,7 @@ def test_multigrid_preconditioner_is_symmetric_positive_definite(model, grid, fl
     # CG is only valid with a symmetric positive definite preconditioner
     op = assemble(model, grid)
     normal = op.normal_matrix()
-    precondition = _vcycle(normal, 1.0 / normal.diagonal(), op.interior_shape)
+    precondition = _vcycle(normal, 1.0 / normal.diagonal(), op)
     rng = np.random.default_rng(12)
     for _ in range(5):
         x, y = rng.normal(size=(2, normal.shape[0]))
@@ -227,7 +236,7 @@ def test_stored_prolongator_equals_the_on_the_fly_product(model, grid, float64_h
     # the on-the-fly ones, edge aggregates and dropped candidates included
     op = assemble(model, grid)
     normal = op.normal_matrix()
-    levels = _vcycle(normal, 1.0 / normal.diagonal(), op.interior_shape).args[0]
+    levels = _vcycle(normal, 1.0 / normal.diagonal(), op).args[0]
     assert levels[0].p is None and len(levels) >= 2
     rng = np.random.default_rng(13)
     for lvl in levels[1:]:
@@ -250,6 +259,45 @@ def test_stored_prolongator_equals_the_on_the_fly_product(model, grid, float64_h
 
 
 @_MULTIGRID_GRIDS
+def test_first_coarse_operator_is_the_probed_galerkin_product(model, grid, float64_hierarchy):
+    # level 1's operator is built as the Gram matrix (A^T P)^T (A^T P); it
+    # must equal the probed P^T M P and the sparse product with P = (I - W M) T,
+    # keep the probed diagonals, be exactly symmetric, and leave each unknown
+    # whose tentative column was dropped uncoupled, with a unit diagonal
+    op = assemble(model, grid)
+    normal = op.normal_matrix()
+    fine, coarse = _vcycle(normal, 1.0 / normal.diagonal(), op).args[0][:2]
+    gram = coarse.mat
+    probed = _galerkin(fine, 2)
+    mat = fine.mat.tocsr()
+    p = fine.t - scipy.sparse.diags(fine.w) @ mat @ fine.t
+    dropped = np.flatnonzero(np.abs(fine.t).sum(axis=0).A1 == 0.0)
+    assert len(dropped) == {(66, 66): 44, (2001,): 1}.get(grid.n, 0)
+    unit = scipy.sparse.csr_matrix(
+        (np.ones(len(dropped)), (dropped, dropped)), shape=gram.shape
+    )
+    scale = np.max(np.abs(probed.data))
+    for expected in (probed, p.T @ mat @ p + unit):
+        assert np.max(np.abs((gram - expected).tocsr().data)) <= 1e-14 * scale
+    assert np.array_equal(gram.offsets, probed.offsets)
+    assert (gram.tocsr() != gram.T.tocsr()).nnz == 0
+    assert np.array_equal(gram.tocsr()[dropped].toarray(), unit[dropped].toarray())
+
+
+@pytest.mark.parametrize("n", [(6, 300), (400, 6), (300, 5)], ids=lambda n: "x".join(map(str, n)))
+def test_first_coarse_operator_on_thin_grids_is_the_probed_product(n, float64_hierarchy):
+    # coarse axes of one or two nodes, where offsets such as (0, 2) and (1, 0)
+    # share a flat diagonal, so each must write only the couplings inside
+    grid = Grid((0.0, 0.0), (0.01 * n[0], 0.01 * n[1]), n)
+    op = assemble(ring_model(), grid)
+    normal = op.normal_matrix()
+    fine = _vcycle(normal, 1.0 / normal.diagonal(), op).args[0][0]
+    gram, probed = _gram(fine, op), _galerkin(fine, 2)
+    assert np.array_equal(gram.offsets, probed.offsets)
+    assert np.max(np.abs((gram - probed).tocsr().data)) <= 1e-14 * np.max(np.abs(probed.data))
+
+
+@_MULTIGRID_GRIDS
 def test_tentative_prolongator_is_orthonormal_and_reproduces_its_candidates(
     model, grid, float64_hierarchy
 ):
@@ -258,7 +306,7 @@ def test_tentative_prolongator_is_orthonormal_and_reproduces_its_candidates(
     # candidates, and T^T T is the identity on every kept column
     op = assemble(model, grid)
     normal = op.normal_matrix()
-    levels = _vcycle(normal, 1.0 / normal.diagonal(), op.interior_shape).args[0]
+    levels = _vcycle(normal, 1.0 / normal.diagonal(), op).args[0]
     shape = op.interior_shape
     m = len(shape) + 1
     centred = np.indices(shape).reshape(len(shape), -1).T - (np.array(shape) - 1) / 2
@@ -286,7 +334,7 @@ def test_multigrid_cycle_is_stored_in_float32_and_positive(model, grid):
     # 1e-8 here), which flexible CG does not rely on, and positive
     op = assemble(model, grid)
     normal = op.normal_matrix()
-    precondition = _vcycle(normal, 1.0 / normal.diagonal(), op.interior_shape)
+    precondition = _vcycle(normal, 1.0 / normal.diagonal(), op)
     levels, coarsest = precondition.args
     for lvl in levels:
         stored = [lvl.mat.data, lvl.w, lvl.t.data] + ([] if lvl.p is None else [lvl.p.data])
@@ -328,7 +376,7 @@ def test_float32_cycle_takes_the_float64_iterations_and_field(model, grid, field
     b = -op.apply(v)
 
     def solve():
-        y, iters, _ = _cg(op.normal_matrix(), b, 1e-10, 10 * b.size, op.interior_shape)
+        y, iters, _ = _cg(op.normal_matrix(), b, 1e-10, 10 * b.size, op)
         return v + op.apply_transpose(y), iters
 
     u, iters = solve()
@@ -381,6 +429,7 @@ def test_multigrid_iterations_stay_flat_as_the_mesh_doubles(n):
     op = assemble(ring_model(), grid)
     _, report = solve_least_norm(op, v)
     assert 0 < report.iterations <= 70
+    assert report.iterations == {64: 34, 128: 43, 256: 54}[n]
     assert report.residual_constraint <= 1e-9 * np.max(np.abs(op.apply(v.values)))
 
 
@@ -390,9 +439,9 @@ def test_cg_refuses_a_preconditioner_that_is_not_positive(monkeypatch):
     grid = Grid((-2.0, -2.0), (2.0, 2.0), (48, 48))
     op = assemble(ring_model(), grid)
     b = -op.apply(np.random.default_rng(3).normal(size=grid.num_cells))
-    monkeypatch.setattr("fpblock.leastnorm._vcycle", lambda mat, dinv, shape: lambda r: -r)
+    monkeypatch.setattr("fpblock.leastnorm._vcycle", lambda mat, dinv, op: lambda r: -r)
     with pytest.raises(RankDeficiencyError, match="multigrid V-cycle preconditioner"):
-        _cg(op.normal_matrix(), b, 1e-10, 100, op.interior_shape)
+        _cg(op.normal_matrix(), b, 1e-10, 100, op)
 
 
 def test_cg_on_the_dia_matrix_matches_csr_exactly():
@@ -402,8 +451,8 @@ def test_cg_on_the_dia_matrix_matches_csr_exactly():
     op = assemble(rossler_model(), grid)
     b = -op.apply(np.random.default_rng(9).random(grid.num_cells))
     normal = op.normal_matrix()
-    x, iters, history = _cg(normal, b, 1e-10, 10_000, op.interior_shape)
-    x_csr, iters_csr, history_csr = _cg(normal.tocsr(), b, 1e-10, 10_000, op.interior_shape)
+    x, iters, history = _cg(normal, b, 1e-10, 10_000, op)
+    x_csr, iters_csr, history_csr = _cg(normal.tocsr(), b, 1e-10, 10_000, op)
     assert iters == iters_csr > 0
     assert np.array_equal(x, x_csr)
     assert history == history_csr
