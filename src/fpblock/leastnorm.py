@@ -23,18 +23,19 @@ with each mesh doubling, and those of piecewise-constant aggregates double
 linear functions). Each level's tentative prolongator is one CSR matrix with
 d + 1 entries per row. The smoothed prolongator is applied on the fly on the
 fine level, where A A^T has 13 diagonals, and stored on the coarser levels,
-where the Galerkin operators have 85, as a CSC matrix whose columns are
-gathered from their windows around each aggregate. The first coarse operator
-is the Gram matrix (A^T P)^T (A^T P), read from 3^d (d + 1) probes of A^T P,
-and the coarser ones are probed products P^T M P. The levels are built in
-float64 and stored in float32, in which the cycle runs on each residual
-scaled to max|r| = 1 (Goddeke, Strzodka and Turek, 2007); CG stays float64
-and takes the flexible beta of Notay (SISC 22, 2000). A 3-D system is
-preconditioned by the diagonal of A A^T (Jacobi), which follows |f|^2 where
-advection outweighs diffusion; on the eight 16^3 blocks of a sampled 32^3
-Rossler grid a V-cycle halves the iterations (1,595 to 823) but takes about
-six times as long. The correction A^T y is orthogonal to Ker(A), so the
-result equals v plus the kernel-orthogonal move of minimal length.
+whose Galerkin operators keep only their diagonals that hold a nonzero (73 of
+85 on the first), as a CSC matrix whose columns are gathered from their
+windows around each aggregate. The first coarse operator is the Gram matrix
+(A^T P)^T (A^T P), read from 3^d (d + 1) probes of A^T P, and the coarser
+ones are probed products P^T M P. The cycle runs in float32 (Goddeke,
+Strzodka and Turek, 2007), in which a coarse 2-D level is built from the
+start; the fine level and 1-D levels are built in float64, then rounded. CG
+stays float64 and takes the flexible beta of Notay (SISC 22, 2000). A 3-D
+system is preconditioned by the diagonal of A A^T (Jacobi), which follows
+|f|^2 where advection outweighs diffusion; on the eight 16^3 blocks of a
+sampled 32^3 Rossler grid a V-cycle halves the iterations (1,595 to 823) but
+takes about six times as long. The correction A^T y is orthogonal to Ker(A),
+so the result equals v plus the kernel-orthogonal move of minimal length.
 """
 
 from __future__ import annotations
@@ -288,7 +289,7 @@ def _spectral_radius(mat, dinv: np.ndarray) -> float:
     """An estimate of the spectral radius of D^-1 M: _POWER_STEPS steps of the
     power method from a fixed start, then the Rayleigh quotient of the last
     iterate in the D inner product, which is at most the true radius."""
-    x = np.random.default_rng(0).random(mat.shape[0]) - 0.5
+    x = (np.random.default_rng(0).random(mat.shape[0]) - 0.5).astype(mat.dtype)
     for _ in range(_POWER_STEPS):
         x = dinv * (mat @ x)
         x /= np.linalg.norm(x)
@@ -296,8 +297,8 @@ def _spectral_radius(mat, dinv: np.ndarray) -> float:
 
 
 def _single(a: np.ndarray) -> np.ndarray:
-    """a in float32: the one cast from the multigrid build to its cycle."""
-    return a.astype(np.float32)
+    """a in float32, not copied if it is: the multigrid's one cast to float32."""
+    return a.astype(np.float32, copy=False)
 
 
 @dataclass
@@ -308,7 +309,7 @@ class _Level:
     the tentative prolongator t of _tentative, and, below the fine level, the
     smoothed prolongator stored as the CSC matrix p, which restrict reads
     through its CSR view p.T (see _vcycle for why the fine level applies it
-    on the fly). Each level is built in float64, then stored in float32."""
+    on the fly). Each level is stored in float32 (see _vcycle for when)."""
 
     mat: sparse.dia_matrix
     shape: tuple[int, ...]
@@ -328,20 +329,17 @@ class _Level:
         return (self.t if self.p is None else self.p).T
 
     def round(self) -> None:
-        """Rounds w, t and p by _single, t and p in place, so that their index
-        arrays are shared, where scipy's astype would copy them."""
+        """Rounds w, t, p and mat by _single, t and p in place, so that their
+        index arrays are shared, where scipy's astype would copy them."""
+        from scipy import sparse
+
         self.w = _single(self.w)
         self.t.data = _single(self.t.data)
         if self.p is not None:
             self.p.data = _single(self.p.data)
         # a view kept from before would hold, and restrict by, the float64 data
         self.__dict__.pop("_transpose", None)
-
-    def round_matrix(self) -> None:
-        """Rounds mat by _single into a new DIA matrix: the fine level's is
-        CG's own."""
-        from scipy import sparse
-
+        # a new DIA matrix: the fine level's is CG's own
         self.mat = sparse.dia_matrix((_single(self.mat.data), self.mat.offsets), self.mat.shape)
 
     def smooth(self, b: np.ndarray, x: np.ndarray, steps: int) -> np.ndarray:
@@ -385,7 +383,7 @@ def _stored_prolongator(lvl: _Level, radius: int):
     """
     from scipy import sparse
 
-    coarse, comps, d = lvl.coarse_shape, lvl.comps, len(lvl.shape)
+    coarse, comps, d, dtype = lvl.coarse_shape, lvl.comps, len(lvl.shape), lvl.mat.dtype
     m, w = d + 1, _AGGREGATE + 2 * radius
     period = (w - 1) // _AGGREGATE + 1
     # the row of each slot, by coarse node, column component, window node and
@@ -398,11 +396,11 @@ def _stored_prolongator(lvl: _Level, radius: int):
         rows, inside = rows * n + i, inside & (i >= 0) & (i < n)
     rows = np.where(inside, comps * rows + np.arange(comps), 0).astype(np.int32)
     full = (*coarse, m, *(w,) * d, comps)
-    data = np.empty(full)
+    data = np.empty(full, dtype)
     for colour in np.ndindex(*(period,) * d):
         sub = tuple(slice(k, None, period) for k in colour)
         for c in range(m):
-            e = np.zeros((*coarse, m))
+            e = np.zeros((*coarse, m), dtype)
             e[sub + (c,)] = 1.0
             data[sub + (c,)] = lvl.prolong(e.ravel())[rows[sub + (0,)]]
     inside = np.broadcast_to(inside, full)
@@ -442,6 +440,19 @@ def _symmetric(lvl: _Level, data: np.ndarray, diagonals: np.ndarray):
     return sparse.dia_matrix((data, diagonals), shape=(size, size))
 
 
+def _nonzero_diagonals(mat, dtype):
+    """mat on only its diagonals that hold a nonzero, copied row by row into
+    dtype: a fancy-indexed copy's float64 temporary read +2.9 to +3.1 MB of
+    ring-whole-128 peak RSS."""
+    from scipy import sparse
+
+    keep = np.flatnonzero(mat.data.any(axis=1))
+    data = np.empty((len(keep), mat.shape[1]), dtype)
+    for row, j in zip(data, keep):
+        row[:] = mat.data[j]
+    return sparse.dia_matrix((data, mat.offsets[keep]), shape=mat.shape)
+
+
 def _galerkin(lvl: _Level, radius: int):
     """P^T M P on lvl's coarse grid as a DIA matrix, its couplings reaching at
     most radius nodes along each axis, found by probing: the operator of
@@ -477,7 +488,7 @@ def _galerkin(lvl: _Level, radius: int):
         slots = where[o] * size + (m * (rows + shift[o]))[:, None, None] + comp
         block = np.empty((n, m, m))
         for c in range(m):
-            e = np.zeros((n, m))
+            e = np.zeros((n, m), lvl.mat.dtype)
             e[colours == colour, c] = 1.0
             block[:, :, c] = lvl.restrict(lvl.mat @ lvl.prolong(e.ravel())).reshape(n, m)
         data.reshape(-1)[slots] = block[rows]
@@ -590,11 +601,12 @@ def _vcycle(mat, dinv: np.ndarray, op: InteriorOperator):
     cycle runs two damped Jacobi steps, with the same omega, before and after
     the coarse correction and restricts by P^T, so B is symmetric, and
     positive definite while omega times the true radius stays below 2; _cg
-    checks that it does. Each level is rounded to float32 once the next one is
-    built, its matrix last, but the fine copy of A A^T waits for the coarsest
-    factor (ring-whole-128 peak RSS +0.3 MB, against up to +1.5 MB with the
-    whole fine level rounded last). The float32 cycle takes 1.6 ms at 128^2,
-    against 3.9, with the same CG iterations.
+    checks that it does. A coarse 2-D level is built in float32, on its
+    nonzero diagonals (12 of level 1's 85 are zero on a ring): the 128^2
+    set-up fell from about 87 to 71 ms. The fine level and 1-D levels are
+    built in float64 and rounded after the coarsest factor: built in float32,
+    the 2001-cell line's coarsest Cholesky failed. The float32 cycle takes
+    1.6 ms at 128^2, against 3.9, with the same CG iterations.
     """
     from scipy.linalg import cho_factor, cho_solve
 
@@ -603,6 +615,7 @@ def _vcycle(mat, dinv: np.ndarray, op: InteriorOperator):
     comps = 1
     shape = op.interior_shape
     d = len(shape)
+    dtype = _single(np.empty(0)).dtype if d == 2 else np.float64
     # 1 and the coordinates, centred on the grid to keep the Gram-Schmidt
     # differences small
     candidates = np.indices(shape).reshape(d, -1).T - (np.array(shape) - 1) / 2
@@ -611,6 +624,7 @@ def _vcycle(mat, dinv: np.ndarray, op: InteriorOperator):
         while mat.shape[0] > _COARSEST_ROWS:
             omega = 4.0 / (3.0 * _POWER_SAFETY * _spectral_radius(mat, dinv))
             t, candidates = _tentative(candidates, shape, comps)
+            t.data = t.data.astype(mat.dtype, copy=False)
             lvl = _Level(mat, shape, comps, omega * dinv, t)
             if levels:
                 lvl.p = _stored_prolongator(lvl, radius)
@@ -619,22 +633,21 @@ def _vcycle(mat, dinv: np.ndarray, op: InteriorOperator):
             # when their blocks lie within 3 radius fine nodes of each other
             radius = (_AGGREGATE - 1 + 3 * radius) // _AGGREGATE
             mat = _galerkin(lvl, radius) if len(levels) > 1 else _gram(lvl, op)
-            lvl.round()
-            if len(levels) > 1:
-                lvl.round_matrix()
+            mat = _nonzero_diagonals(mat, dtype)
             shape, comps = lvl.coarse_shape, d + 1
             diag = mat.diagonal()
             if not np.all(diag > 0.0):
                 raise np.linalg.LinAlgError("non-positive diagonal entry")
             dinv = 1.0 / diag
-        factor = cho_factor(mat.toarray(), overwrite_a=True)
+        factor = cho_factor(mat.toarray().astype(np.float64, copy=False), overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise RankDeficiencyError(
-            f"a coarse level of the multigrid preconditioner is not positive "
-            f"definite ({exc}): the operator appears rank deficient"
+            f"level {len(levels)} ({mat.shape[0]} rows) of the multigrid "
+            f"preconditioner is not positive definite ({exc}): the operator is "
+            "rank deficient or too ill-conditioned"
         ) from exc
-    if levels:
-        levels[0].round_matrix()
+    for lvl in levels:
+        lvl.round()
     return functools.partial(_cycle, levels, functools.partial(cho_solve, factor))
 
 

@@ -35,6 +35,7 @@ from fpblock.leastnorm import (
     _galerkin,
     _gram,
     _lower_band,
+    _stored_prolongator,
     _tentative,
     _vcycle,
 )
@@ -262,8 +263,10 @@ def test_stored_prolongator_equals_the_on_the_fly_product(model, grid, float64_h
 def test_first_coarse_operator_is_the_probed_galerkin_product(model, grid, float64_hierarchy):
     # level 1's operator is built as the Gram matrix (A^T P)^T (A^T P); it
     # must equal the probed P^T M P and the sparse product with P = (I - W M) T,
-    # keep the probed diagonals, be exactly symmetric, and leave each unknown
-    # whose tentative column was dropped uncoupled, with a unit diagonal
+    # keep the probed diagonals that hold a nonzero (on the square rings the
+    # 12 of nodes (+-2, +-2) apart are exact zeros), be exactly symmetric, and
+    # leave each unknown whose tentative column was dropped uncoupled, with a
+    # unit diagonal
     op = assemble(model, grid)
     normal = op.normal_matrix()
     fine, coarse = _vcycle(normal, 1.0 / normal.diagonal(), op).args[0][:2]
@@ -279,7 +282,10 @@ def test_first_coarse_operator_is_the_probed_galerkin_product(model, grid, float
     scale = np.max(np.abs(probed.data))
     for expected in (probed, p.T @ mat @ p + unit):
         assert np.max(np.abs((gram - expected).tocsr().data)) <= 1e-14 * scale
-    assert np.array_equal(gram.offsets, probed.offsets)
+    nonzero = probed.data.any(axis=1)
+    assert np.array_equal(gram.offsets, probed.offsets[nonzero])
+    assert not probed.data[~nonzero].any()
+    assert np.count_nonzero(~nonzero) == (12 if grid.dim == 2 else 0)
     assert (gram.tocsr() != gram.T.tocsr()).nnz == 0
     assert np.array_equal(gram.tocsr()[dropped].toarray(), unit[dropped].toarray())
 
@@ -348,6 +354,55 @@ def test_multigrid_cycle_is_stored_in_float32_and_positive(model, grid):
         assert bx.dtype == np.float64
         assert bx @ x > 0.0
         assert abs(bx @ y - x @ by) <= 1e-5 * np.linalg.norm(bx) * np.linalg.norm(y)
+
+
+@_MULTIGRID_GRIDS
+def test_coarse_2d_levels_are_built_in_float32_on_their_nonzero_diagonals(
+    model, grid, monkeypatch
+):
+    # a coarse 2-D level is float32 from the start, so its P and the next
+    # level are built from float32 products; the fine level, and every level of
+    # a line, are built in float64. No coarse level stores an all-zero diagonal
+    seen = []
+
+    def recording(build):
+        def wrapped(lvl, radius):
+            stored = [lvl.mat.data, lvl.w, lvl.t.data] + ([] if lvl.p is None else [lvl.p.data])
+            seen.append((build.__name__, id(lvl), lvl.p is None, {a.dtype for a in stored}))
+            return build(lvl, radius)
+
+        return wrapped
+
+    for build in (_stored_prolongator, _galerkin):
+        monkeypatch.setattr(f"fpblock.leastnorm.{build.__name__}", recording(build))
+    op = assemble(model, grid)
+    normal = op.normal_matrix()
+    coarse = _vcycle(normal, 1.0 / normal.diagonal(), op).args[0][1:]
+    dtype = {np.dtype(np.float32 if grid.dim == 2 else np.float64)}
+    # each coarse level is handed to both, to _galerkin with its P stored
+    assert seen == [
+        (name, id(lvl), name == "_stored_prolongator", dtype)
+        for lvl in coarse
+        for name in ("_stored_prolongator", "_galerkin")
+    ]
+    for lvl in coarse:
+        assert lvl.mat.data.any(axis=1).all()
+    if grid.dim == 2:
+        assert len(coarse[0].mat.offsets) == 73
+
+
+def test_a_coarse_level_that_is_not_positive_definite_names_itself(monkeypatch):
+    # a negated level 2 (147 rows on the 64^2 ring) fails the diagonal check
+    monkeypatch.setattr("fpblock.leastnorm._galerkin", lambda lvl, radius: -_galerkin(lvl, radius))
+    op = assemble(ring_model(), Grid((-2.0, -2.0), (2.0, 2.0), (64, 64)))
+    normal = op.normal_matrix()
+    with pytest.raises(RankDeficiencyError) as caught:
+        _vcycle(normal, 1.0 / normal.diagonal(), op)
+    assert str(caught.value) == (
+        "level 2 (147 rows) of the multigrid preconditioner is not positive definite "
+        "(non-positive diagonal entry): the operator is rank deficient or too "
+        "ill-conditioned"
+    )
 
 
 @pytest.mark.parametrize(
