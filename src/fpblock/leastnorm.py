@@ -19,15 +19,16 @@ is a smoothed-aggregation multigrid V-cycle whose coarse spaces hold the
 constant and linear functions on every aggregate: A A^T is a fourth-order
 operator, on which the iterations of diagonal scaling alone roughly quadruple
 with each mesh doubling, and those of piecewise-constant aggregates double
-(201, 424 and 864 at 128^2, 256^2 and 512^2, against 43, 54 and 73 with the
+(201, 424 and 864 at 128^2, 256^2 and 512^2, against 32, 38 and 60 with the
 linear functions). Each level's tentative prolongator is one CSR matrix with
 d + 1 entries per row. The smoothed prolongator is applied on the fly on the
-fine level, where A A^T has 13 diagonals, and stored on the coarser levels,
-whose Galerkin operators keep only their diagonals that hold a nonzero (73 of
-85 on the first), as a CSC matrix whose columns are gathered from their
-windows around each aggregate. The first coarse operator is the Gram matrix
-(A^T P)^T (A^T P), read from 3^d (d + 1) probes of A^T P, and the coarser
-ones are probed products P^T M P. The cycle runs in float32 (Goddeke,
+fine level, where A A^T has 13 diagonals, and stored on the coarser levels as
+a CSC matrix whose columns are gathered from their windows around each
+aggregate. The first coarse operator is the Gram matrix (A^T P)^T (A^T P),
+read from 3^d (d + 1) probes of A^T P without the 12 of its 85 diagonals in
+2-D that never couple, and the coarser ones are probed products P^T M P. Each
+level is smoothed by a degree-2 Chebyshev polynomial in D^-1 M (Adams,
+Brezina, Hu and Tuminaro, 2003). The cycle runs in float32 (Goddeke,
 Strzodka and Turek, 2007), in which a coarse 2-D level is built from the
 start; the fine level and 1-D levels are built in float64, then rounded. CG
 stays float64 and takes the flexible beta of Notay (SISC 22, 2000). A 3-D
@@ -81,18 +82,31 @@ _STACK_ROWS = 8192
 # apart along an axis, and with blocks of 3 the Galerkin operator of every
 # coarser level does too, (3 - 1 + 3 * 2) // 3 = 2. With blocks of 2 the reach
 # grows 2, 3, 5, ..., so that every coarse level is denser than the last.
-# Blocks of 4 and 5 took 89 and 135 iterations on the 128^2 ring, and
-# 126 and 211 on 256^2, where blocks of 3 take 43 and 54.
+# With two damped Jacobi steps for smoother, blocks of 4 and 5 took 89 and 135
+# iterations on the 128^2 ring, and 126 and 211 on 256^2, where blocks of 3
+# took 43 and 54.
 _AGGREGATE = 3
 # The coarsest level is factored dense once it has at most this many rows. A
 # triangular solve of 300 rows takes about 60 us, less than the numpy calls of
 # one more level; of 600 rows, about 290 us.
 _COARSEST_ROWS = 300
-# The smoother's omega divides by this multiple of the spectral radius of
-# D^-1 M as estimated by _POWER_STEPS steps of the power method, an estimate
-# that lies below the radius.
+# lambda, the bound on the spectral radius of D^-1 M that the prolongator's
+# omega = 4 / (3 lambda) and the smoother's interval rest on, is this multiple
+# of the estimate of _POWER_STEPS steps of the power method, which lies below
+# the radius.
 _POWER_STEPS = 10
 _POWER_SAFETY = 1.1
+# The smoother is the degree-2 Chebyshev polynomial on [lambda / _INTERVAL,
+# lambda]: x1 = x0 + D^-1 r0 / theta, x2 = x1 + rho1 rho0 (x1 - x0)
+# + 2 rho1 / delta D^-1 r1, with theta and delta the interval's centre and
+# half-width, rho0 = delta / theta and rho1 = 1 / (2 theta / delta - rho0)
+# (Adams, Brezina, Hu and Tuminaro, J. Comput. Phys. 188, 2003). In terms of
+# w = omega D^-1 these are the three fixed weights below. On the 128^2 ring,
+# interval ratios of 4, 8, 15 and 30 took 36, 32, 32 and 32 CG iterations.
+_INTERVAL = 30.0
+_THETA, _DELTA = (1.0 + 1.0 / _INTERVAL) / 2.0, (1.0 - 1.0 / _INTERVAL) / 2.0
+_RHO1 = 1.0 / (2.0 * _THETA / _DELTA - _DELTA / _THETA)
+_CHEBYSHEV = (0.75 / _THETA, _RHO1 * _DELTA / _THETA, 1.5 * _RHO1 / _DELTA)
 # Within an aggregate, a candidate whose part orthogonal to the earlier ones is
 # at most this fraction of its norm counts as dependent on them.
 _DEPENDENT = 1e-8
@@ -305,17 +319,18 @@ def _single(a: np.ndarray) -> np.ndarray:
 class _Level:
     """One level of the smoothed-aggregation hierarchy: its DIA operator on a
     tensor grid of nodes with comps unknowns each, in node-major order, the
-    damped Jacobi weights w = omega D^-1, which also smooth its prolongator,
-    the tentative prolongator t of _tentative, and, below the fine level, the
-    smoothed prolongator stored as the CSC matrix p, which restrict reads
-    through its CSR view p.T (see _vcycle for why the fine level applies it
-    on the fly). Each level is stored in float32 (see _vcycle for when)."""
+    Jacobi weights w = omega D^-1, which smooth its prolongator and scale its
+    smoother, and either, on the fine level, the tentative prolongator t of
+    _tentative or, below it, the smoothed prolongator stored as the CSC matrix
+    p, which restrict reads through its CSR view p.T (see _vcycle for why the
+    fine level applies it on the fly; a coarse level holds t only while it is
+    built). Each level is stored in float32 (see _vcycle for when)."""
 
     mat: sparse.dia_matrix
     shape: tuple[int, ...]
     comps: int
     w: np.ndarray
-    t: sparse.csr_matrix
+    t: sparse.csr_matrix | None
     p: sparse.csc_matrix | None = None
 
     @property
@@ -334,22 +349,23 @@ class _Level:
         from scipy import sparse
 
         self.w = _single(self.w)
-        self.t.data = _single(self.t.data)
-        if self.p is not None:
-            self.p.data = _single(self.p.data)
+        for prolongator in (self.t, self.p):
+            if prolongator is not None:
+                prolongator.data = _single(prolongator.data)
         # a view kept from before would hold, and restrict by, the float64 data
         self.__dict__.pop("_transpose", None)
         # a new DIA matrix: the fine level's is CG's own
         self.mat = sparse.dia_matrix((_single(self.mat.data), self.mat.offsets), self.mat.shape)
 
-    def smooth(self, b: np.ndarray, x: np.ndarray, steps: int) -> np.ndarray:
-        """steps damped Jacobi steps x += W (b - M x), in place."""
-        for _ in range(steps):
-            r = self.mat @ x
-            np.subtract(b, r, out=r)
-            r *= self.w
-            x += r
-        return x
+    def smooth(self, b: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
+        """The degree-2 Chebyshev sweep of _CHEBYSHEV for M x = b from x, in
+        place, or from zero with one product fewer if x is None."""
+        first, carry, second = _CHEBYSHEV
+        step = first * (self.w * (b if x is None else b - self.mat @ x))
+        x = step.copy() if x is None else np.add(x, step, out=x)
+        step *= carry
+        step += second * (self.w * (b - self.mat @ x))
+        return np.add(x, step, out=x)
 
     def prolong(self, xc: np.ndarray) -> np.ndarray:
         """P xc = (I - W M) T xc."""
@@ -410,13 +426,17 @@ def _stored_prolongator(lvl: _Level, radius: int):
     return sparse.csc_matrix((data[inside], rows, indptr), shape=lvl.t.shape)
 
 
-def _layout(shape: tuple[int, ...], radius: int):
+def _layout(shape: tuple[int, ...], radius: int, reach: int | None = None):
     """The DIA layout of an operator on nodes of shape with d + 1 unknowns
-    each, coupling nodes up to radius apart: the node offsets, their flat
-    shifts, the diagonals, and the index of each (offset, row and column
-    component) among them."""
+    each, coupling nodes up to radius apart along each axis and, if reach is
+    given, only those whose aggregates lie at most reach cells apart, summed
+    over the axes: the node offsets, their flat shifts, the diagonals, and the
+    index of each (offset, row and column component) among them."""
     d = len(shape)
     offsets = np.indices((2 * radius + 1,) * d).reshape(d, -1) - radius
+    if reach is not None:
+        apart = np.maximum(_AGGREGATE * np.abs(offsets) - _AGGREGATE + 1, 0)
+        offsets = offsets[:, apart.sum(axis=0) <= reach]
     shift = np.array([math.prod(shape[a + 1 :]) for a in range(d)]) @ offsets
     comp = np.arange(d + 1)
     flat = (d + 1) * shift[:, None, None] + comp - comp[:, None]
@@ -438,19 +458,6 @@ def _symmetric(lvl: _Level, data: np.ndarray, diagonals: np.ndarray):
     dropped[lvl.t.indices[lvl.t.data != 0.0]] = False
     data[zero, dropped] = 1.0
     return sparse.dia_matrix((data, diagonals), shape=(size, size))
-
-
-def _nonzero_diagonals(mat, dtype):
-    """mat on only its diagonals that hold a nonzero, copied row by row into
-    dtype: a fancy-indexed copy's float64 temporary read +2.9 to +3.1 MB of
-    ring-whole-128 peak RSS."""
-    from scipy import sparse
-
-    keep = np.flatnonzero(mat.data.any(axis=1))
-    data = np.empty((len(keep), mat.shape[1]), dtype)
-    for row, j in zip(data, keep):
-        row[:] = mat.data[j]
-    return sparse.dia_matrix((data, mat.offsets[keep]), shape=mat.shape)
 
 
 def _galerkin(lvl: _Level, radius: int):
@@ -476,7 +483,7 @@ def _galerkin(lvl: _Level, radius: int):
         inside &= (c[:, None] + o >= 0) & (c[:, None] + o < s)
     comp = np.arange(m)
     size = n * m
-    data = np.zeros((len(diagonals), size))
+    data = np.zeros((len(diagonals), size), lvl.mat.dtype)
     colours = np.ravel_multi_index(cells % width, box)
     for colour in range(k):
         target = np.array(np.unravel_index(colour, box))[:, None]
@@ -486,7 +493,7 @@ def _galerkin(lvl: _Level, radius: int):
         # where each row's entries go in data, flattened, by row and column
         # component
         slots = where[o] * size + (m * (rows + shift[o]))[:, None, None] + comp
-        block = np.empty((n, m, m))
+        block = np.empty((n, m, m), lvl.mat.dtype)
         for c in range(m):
             e = np.zeros((n, m), lvl.mat.dtype)
             e[colours == colour, c] = 1.0
@@ -516,9 +523,10 @@ def _block_probes(lvl: _Level, op: InteriorOperator, colour: tuple[int, ...], bl
     return out
 
 
-def _gram(lvl: _Level, op: InteriorOperator):
+def _gram(lvl: _Level, op: InteriorOperator, dtype):
     """The fine level's P^T M P, whose M is A A^T, as the Gram matrix
-    (A^T P)^T (A^T P) in _galerkin's layout with radius 2.
+    (A^T P)^T (A^T P) in _galerkin's layout with radius 2, its sums written
+    straight into a DIA matrix of dtype.
 
     Column (J, c) of A^T P lives on cells 3 J - 2 to 3 J + 6 along each axis
     (P reaches two interior nodes past aggregate J, A^T one cell more), the
@@ -527,11 +535,14 @@ def _gram(lvl: _Level, op: InteriorOperator):
     K = J + o share the blocks J + [max(o, 0), 3 + min(o, 0)), so one product
     of two colours' probes, summed over each block, serves every offset
     between them. Offsets of non-negative flat shift are summed; _symmetric
-    mirrors them.
+    mirrors them. A column reaches at most 3 cells past its aggregate, summed
+    over the axes (2 for P, as M's 13 diagonals do, 1 for A^T), so nodes whose
+    aggregates lie more than 6 cells apart do not couple: in 2-D, those
+    (+-2, +-2) apart, 8 cells, whose 12 diagonals are not stored.
     """
     coarse, d = lvl.coarse_shape, len(lvl.shape)
     m = d + 1
-    offsets, shift, diagonals, where = _layout(coarse, 2)
+    offsets, shift, diagonals, where = _layout(coarse, 2, reach=6)
     colours = list(np.ndindex(*(3,) * d))
     # per pair of colours, lower first, the blocks to sum for each offset from
     # a node J = colour + 3 j of one to K = to + 3 j' of the other, for the j
@@ -564,7 +575,7 @@ def _gram(lvl: _Level, op: InteriorOperator):
                 sums[...] = sum(products[r] for r in reads)
         # all 27 probes a cell (2-D) are gone before the operator is allocated
         probes[p] = products = None
-    data = np.zeros((len(diagonals), math.prod(coarse) * m))
+    data = np.zeros((len(diagonals), math.prod(coarse) * m), dtype)
     for _, slots, sums in itertools.chain(*plan.values()):
         data.reshape(len(diagonals), *coarse, m)[slots] = sums
     return _symmetric(lvl, data, diagonals)
@@ -588,25 +599,30 @@ def _vcycle(mat, dinv: np.ndarray, op: InteriorOperator):
     _galerkin's 75 make three with M. lambda is _POWER_SAFETY times a
     power-method estimate of the spectral radius of D^-1 M: on the 128^2 ring's
     first coarse level the Gershgorin bound reads 3.96 where the radius is
-    2.16, and smoothing with it took the cycle from 43 to 100 iterations. On
-    the fine level P is applied on the fly, T as its CSR matrix and the
-    smoothing as one product with M, which has only 13 diagonals there: a
+    2.16, and with two damped Jacobi steps for smoother it took the cycle from
+    43 to 100 iterations. On the fine level P is applied on the fly, T as its
+    CSR matrix and the smoothing as one product with M, which has only 13
+    diagonals there: a
     stored P would hold about 187 k entries (2.25 MB) at 128^2 and saves no
     time. A coarser M has 85, and P on the fly would add two products with it
     to each probe of _galerkin and to each cycle, so each coarser level stores
     P once as CSC, gathered column by column from the on-the-fly product
     (_stored_prolongator, about a quarter of the bytes of its M), and
     restricts by its CSR view, the same numbers. Levels are built until at
-    most _COARSEST_ROWS rows remain, which are factored by dense Cholesky. The
-    cycle runs two damped Jacobi steps, with the same omega, before and after
-    the coarse correction and restricts by P^T, so B is symmetric, and
-    positive definite while omega times the true radius stays below 2; _cg
-    checks that it does. A coarse 2-D level is built in float32, on its
-    nonzero diagonals (12 of level 1's 85 are zero on a ring): the 128^2
-    set-up fell from about 87 to 71 ms. The fine level and 1-D levels are
-    built in float64 and rounded after the coarsest factor: built in float32,
-    the 2001-cell line's coarsest Cholesky failed. The float32 cycle takes
-    1.6 ms at 128^2, against 3.9, with the same CG iterations.
+    most _COARSEST_ROWS rows remain, which are factored by dense Cholesky.
+    The cycle runs the degree-2 Chebyshev sweep of _CHEBYSHEV on
+    [lambda / 30, lambda] before and after the coarse correction and
+    restricts by P^T, so B is symmetric, and positive definite while the true
+    radius stays below lambda (1 + 1 / 30); _cg checks that it does. A sweep
+    makes as many products with M as two damped Jacobi steps, with the same
+    omega, and took CG from 34, 43, 54 and 73 iterations to 27, 32, 38 and 60
+    at 64^2, 128^2, 256^2 and 512^2; degree 3 took 26 at 128^2, for two more
+    products per level, and was no faster. A coarse 2-D level is built in
+    float32, the first straight from _gram's sums. The fine level and 1-D
+    levels are built in float64 and rounded after the coarsest factor: built
+    in float32, the 2001-cell line's coarsest Cholesky failed. The float32
+    cycle takes 1.4 ms at 128^2, against 2.4 in float64, with the same CG
+    iterations.
     """
     from scipy.linalg import cho_factor, cho_solve
 
@@ -632,8 +648,10 @@ def _vcycle(mat, dinv: np.ndarray, op: InteriorOperator):
             # P reaches radius nodes past a block, so two coarse nodes couple
             # when their blocks lie within 3 radius fine nodes of each other
             radius = (_AGGREGATE - 1 + 3 * radius) // _AGGREGATE
-            mat = _galerkin(lvl, radius) if len(levels) > 1 else _gram(lvl, op)
-            mat = _nonzero_diagonals(mat, dtype)
+            mat = _galerkin(lvl, radius) if len(levels) > 1 else _gram(lvl, op, dtype)
+            if lvl.p is not None:
+                # P is stored and _symmetric has read T's dropped columns
+                lvl.t = None
             shape, comps = lvl.coarse_shape, d + 1
             diag = mat.diagonal()
             if not np.all(diag > 0.0):
@@ -656,19 +674,19 @@ def _cycle(levels: list[_Level], coarsest, r: np.ndarray) -> np.ndarray:
     solve, in the levels' float32, with the coarsest solve's float64 answer
     rounded back. r is divided by max|r| before _single rounds it, and z is
     multiplied back in float64, so B is as free of r's scale as CG is: on the
-    64^2 ring, a reference scaled by 1e-36 would otherwise round to r.z = 0,
-    and one scaled by 1e-30 take 35 iterations where it takes 34."""
+    64^2 ring, a reference scaled by 1e-30 or 1e-36 would otherwise underflow
+    in float32 and read r.z < 0."""
     scale = float(np.max(np.abs(r))) or 1.0
     b = _single(r / scale)
     down = []
     for lvl in levels:
-        x = lvl.smooth(b, lvl.w * b, 1)
+        x = lvl.smooth(b)
         down.append((b, x))
         b = lvl.restrict(b - lvl.mat @ x)
     x = coarsest(b).astype(b.dtype, copy=False)
     for lvl, (b, fine) in zip(reversed(levels), reversed(down)):
         fine += lvl.prolong(x)
-        x = lvl.smooth(b, fine, 2)
+        x = lvl.smooth(b, fine)
     return np.multiply(x, scale, dtype=np.float64)
 
 
@@ -690,10 +708,11 @@ def _cg(
     the V-cycle's set-up and extra products cost more than the iterations it
     saves. A non-positive diagonal raises before the preconditioner is built,
     and a preconditioned residual with r.z <= 0 raises too: the V-cycle's
-    smoother rests on an estimated spectral radius, so its positivity is
-    checked where it is used. The float32 V-cycle is symmetric only to about
-    1e-8, so its beta is Notay's flexible z_k+1.(r_k+1 - r_k) / z_k.r_k; Jacobi
-    keeps the classical one, whose saved dot product is 4 % of a 16^3 step.
+    Chebyshev smoother rests on an estimated spectral radius, which it may
+    exceed by no more than a thirtieth, so its positivity is checked where it
+    is used. The float32 V-cycle is symmetric only to about 1e-8, so its beta
+    is Notay's flexible z_k+1.(r_k+1 - r_k) / z_k.r_k; Jacobi keeps the
+    classical one, whose saved dot product is 4 % of a 16^3 step.
     """
     norm_tol, inf_tol = _tolerances(b, rel_tol)
     diag = mat.diagonal()
