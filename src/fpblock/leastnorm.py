@@ -20,23 +20,23 @@ constant and linear functions on every aggregate: A A^T is a fourth-order
 operator, on which the iterations of diagonal scaling alone roughly quadruple
 with each mesh doubling, and those of piecewise-constant aggregates double
 (201, 424 and 864 at 128^2, 256^2 and 512^2, against 32, 38 and 60 with the
-linear functions). Each level's tentative prolongator is one CSR matrix with
-d + 1 entries per row. The smoothed prolongator is applied on the fly on the
-fine level, where A A^T has 13 diagonals, and stored on the coarser levels as
-a CSC matrix whose columns are gathered from their windows around each
-aggregate. The first coarse operator is the Gram matrix (A^T P)^T (A^T P),
-read from 3^d (d + 1) probes of A^T P without the 12 of its 85 diagonals in
-2-D that never couple, and the coarser ones are probed products P^T M P. Each
-level is smoothed by a degree-2 Chebyshev polynomial in D^-1 M (Adams,
-Brezina, Hu and Tuminaro, 2003). The cycle runs in float32 (Goddeke,
-Strzodka and Turek, 2007), in which a coarse 2-D level is built from the
-start; the fine level and 1-D levels are built in float64, then rounded. CG
-stays float64 and takes the flexible beta of Notay (SISC 22, 2000). A 3-D
-system is preconditioned by the diagonal of A A^T (Jacobi), which follows
-|f|^2 where advection outweighs diffusion; on the eight 16^3 blocks of a
-sampled 32^3 Rossler grid a V-cycle halves the iterations (1,595 to 823) but
-takes about six times as long. The correction A^T y is orthogonal to Ker(A),
-so the result equals v plus the kernel-orthogonal move of minimal length.
+linear functions). Each level's tentative prolongator T is one CSR matrix
+with d + 1 entries per row. The smoothed prolongator is applied on the fly on
+the fine level, where A A^T has 13 diagonals, and stored on the coarser levels
+as the CSC matrix of one sparse product, T - W (M T). The first coarse
+operator is the Gram matrix (A^T P)^T (A^T P), read from 3^d (d + 1) probes of
+A^T P without the 12 of its 85 diagonals in 2-D that never couple, and the
+coarser ones are probed products P^T M P. Each level is smoothed by a
+degree-2 Chebyshev polynomial in D^-1 M (Adams, Brezina, Hu and Tuminaro,
+2003). The cycle runs in float32 (Goddeke, Strzodka and Turek, 2007), in
+which a coarse 2-D level is built from the start; the fine level and 1-D
+levels are built in float64, then rounded. CG stays float64 and takes the
+flexible beta of Notay (SISC 22, 2000). A 3-D system is preconditioned by the
+diagonal of A A^T (Jacobi), which follows |f|^2 where advection outweighs
+diffusion; on the eight 16^3 blocks of a sampled 32^3 Rossler grid a V-cycle
+halves the iterations (1,595 to 823) but takes about six times as long. The
+correction A^T y is orthogonal to Ker(A), so the result equals v plus the
+kernel-orthogonal move of minimal length.
 """
 
 from __future__ import annotations
@@ -320,17 +320,19 @@ class _Level:
     """One level of the smoothed-aggregation hierarchy: its DIA operator on a
     tensor grid of nodes with comps unknowns each, in node-major order, the
     Jacobi weights w = omega D^-1, which smooth its prolongator and scale its
-    smoother, and either, on the fine level, the tentative prolongator t of
-    _tentative or, below it, the smoothed prolongator stored as the CSC matrix
-    p, which restrict reads through its CSR view p.T (see _vcycle for why the
-    fine level applies it on the fly; a coarse level holds t only while it is
-    built). Each level is stored in float32 (see _vcycle for when)."""
+    smoother, the mask of the coarse unknowns whose tentative column is empty,
+    and either, on the fine level, the tentative prolongator t of _tentative
+    or, below it, the smoothed prolongator stored as the CSC matrix p, which
+    restrict reads through its CSR view p.T (see _vcycle for why the fine
+    level applies it on the fly). Each level is stored in float32 (see
+    _vcycle for when)."""
 
     mat: sparse.dia_matrix
     shape: tuple[int, ...]
     comps: int
     w: np.ndarray
-    t: sparse.csr_matrix | None
+    dropped: np.ndarray
+    t: sparse.csr_matrix | None = None
     p: sparse.csc_matrix | None = None
 
     @property
@@ -386,46 +388,6 @@ class _Level:
         return self._transpose @ q
 
 
-def _stored_prolongator(lvl: _Level, radius: int):
-    """lvl's P = (I - W M) T as a CSC matrix, for an M whose couplings reach
-    radius nodes along each axis.
-
-    Coarse node J's d + 1 columns live on the window of (3 + 2 radius)^d
-    nodes around its aggregate, so the windows of coarse nodes `period` apart
-    do not overlap, and P applied on the fly to one colour's unit vectors in
-    one component holds every column of that colour on its window. One
-    gather per probe reads them; the slots outside the grid are then cut. A
-    dropped tentative column is stored as zeros.
-    """
-    from scipy import sparse
-
-    coarse, comps, d, dtype = lvl.coarse_shape, lvl.comps, len(lvl.shape), lvl.mat.dtype
-    m, w = d + 1, _AGGREGATE + 2 * radius
-    period = (w - 1) // _AGGREGATE + 1
-    # the row of each slot, by coarse node, column component, window node and
-    # row component; a slot outside the grid reads row 0 until it is cut
-    rows, inside = 0, True
-    for a, n in enumerate(lvl.shape):
-        axes = [1] * (2 * d + 2)
-        axes[a], axes[d + 1 + a] = coarse[a], w
-        i = (_AGGREGATE * np.arange(coarse[a])[:, None] - radius + np.arange(w)).reshape(axes)
-        rows, inside = rows * n + i, inside & (i >= 0) & (i < n)
-    rows = np.where(inside, comps * rows + np.arange(comps), 0).astype(np.int32)
-    full = (*coarse, m, *(w,) * d, comps)
-    data = np.empty(full, dtype)
-    for colour in np.ndindex(*(period,) * d):
-        sub = tuple(slice(k, None, period) for k in colour)
-        for c in range(m):
-            e = np.zeros((*coarse, m), dtype)
-            e[sub + (c,)] = 1.0
-            data[sub + (c,)] = lvl.prolong(e.ravel())[rows[sub + (0,)]]
-    inside = np.broadcast_to(inside, full)
-    counts = np.count_nonzero(inside.reshape(lvl.t.shape[1], -1), axis=1)
-    indptr = np.append(0, np.cumsum(counts)).astype(np.int32)
-    rows = np.broadcast_to(rows, full)[inside]
-    return sparse.csc_matrix((data[inside], rows, indptr), shape=lvl.t.shape)
-
-
 def _layout(shape: tuple[int, ...], radius: int, reach: int | None = None):
     """The DIA layout of an operator on nodes of shape with d + 1 unknowns
     each, coupling nodes up to radius apart along each axis and, if reach is
@@ -447,16 +409,15 @@ def _layout(shape: tuple[int, ...], radius: int, reach: int | None = None):
 def _symmetric(lvl: _Level, data: np.ndarray, diagonals: np.ndarray):
     """lvl's coarse operator as a DIA matrix from data filled on and above the
     main diagonal: the diagonals below become copies of their mirrors, and an
-    unknown whose tentative column was dropped gets a unit diagonal."""
+    unknown of lvl.dropped, whose tentative column is empty, gets a unit
+    diagonal."""
     from scipy import sparse
 
     size = data.shape[1]
     zero = int(np.searchsorted(diagonals, 0))
     for j, f in enumerate(diagonals[:zero]):
         data[j, : size + f] = data[np.searchsorted(diagonals, -f), -f:]
-    dropped = np.ones(size, dtype=bool)
-    dropped[lvl.t.indices[lvl.t.data != 0.0]] = False
-    data[zero, dropped] = 1.0
+    data[zero, lvl.dropped] = 1.0
     return sparse.dia_matrix((data, diagonals), shape=(size, size))
 
 
@@ -602,14 +563,16 @@ def _vcycle(mat, dinv: np.ndarray, op: InteriorOperator):
     2.16, and with two damped Jacobi steps for smoother it took the cycle from
     43 to 100 iterations. On the fine level P is applied on the fly, T as its
     CSR matrix and the smoothing as one product with M, which has only 13
-    diagonals there: a
-    stored P would hold about 187 k entries (2.25 MB) at 128^2 and saves no
-    time. A coarser M has 85, and P on the fly would add two products with it
-    to each probe of _galerkin and to each cycle, so each coarser level stores
-    P once as CSC, gathered column by column from the on-the-fly product
-    (_stored_prolongator, about a quarter of the bytes of its M), and
-    restricts by its CSR view, the same numbers. Levels are built until at
-    most _COARSEST_ROWS rows remain, which are factored by dense Cholesky.
+    diagonals there: stored, P holds 187,520 entries at 128^2, and it raised
+    the peak RSS of 40 repeated 128^2 solves by 2.2 to 2.5 MB for no clear
+    gain in time. A coarser M has 73 or 85 diagonals, and P on the fly would
+    add two products with it to each probe of _galerkin and to each cycle, so
+    each coarser level stores P once, the CSC matrix of the sparse product
+    T - W (M T) (about a quarter of the bytes of its M), and restricts by its
+    CSR view, the same numbers. It holds no T: _symmetric finds the unknowns
+    of T's empty columns from the zero rows of the coarse candidates,
+    lvl.dropped. Levels are built until at most _COARSEST_ROWS rows remain,
+    which are factored by dense Cholesky.
     The cycle runs the degree-2 Chebyshev sweep of _CHEBYSHEV on
     [lambda / 30, lambda] before and after the coarse correction and
     restricts by P^T, so B is symmetric, and positive definite while the true
@@ -624,6 +587,7 @@ def _vcycle(mat, dinv: np.ndarray, op: InteriorOperator):
     cycle takes 1.4 ms at 128^2, against 2.4 in float64, with the same CG
     iterations.
     """
+    from scipy import sparse
     from scipy.linalg import cho_factor, cho_solve
 
     levels = []
@@ -641,17 +605,16 @@ def _vcycle(mat, dinv: np.ndarray, op: InteriorOperator):
             omega = 4.0 / (3.0 * _POWER_SAFETY * _spectral_radius(mat, dinv))
             t, candidates = _tentative(candidates, shape, comps)
             t.data = t.data.astype(mat.dtype, copy=False)
-            lvl = _Level(mat, shape, comps, omega * dinv, t)
+            lvl = _Level(mat, shape, comps, omega * dinv, ~candidates.any(axis=1))
             if levels:
-                lvl.p = _stored_prolongator(lvl, radius)
+                lvl.p = (t - sparse.diags(lvl.w) @ (mat @ t)).tocsc()
+            else:
+                lvl.t = t
             levels.append(lvl)
             # P reaches radius nodes past a block, so two coarse nodes couple
             # when their blocks lie within 3 radius fine nodes of each other
             radius = (_AGGREGATE - 1 + 3 * radius) // _AGGREGATE
             mat = _galerkin(lvl, radius) if len(levels) > 1 else _gram(lvl, op, dtype)
-            if lvl.p is not None:
-                # P is stored and _symmetric has read T's dropped columns
-                lvl.t = None
             shape, comps = lvl.coarse_shape, d + 1
             diag = mat.diagonal()
             if not np.all(diag > 0.0):
