@@ -135,9 +135,7 @@ def _dense_rank(
     if vectors:
         _, s, vh = np.linalg.svd(dense, full_matrices=True)
     else:
-        from scipy.linalg import svdvals
-
-        s, vh = svdvals(dense), None
+        s, vh = np.linalg.svd(dense, compute_uv=False), None
     rank = int(np.sum(s > _RANK_RTOL * s[0])) if s.size else 0
     return rank, vh
 
@@ -190,12 +188,10 @@ def principal_angles(op: InteriorOperator, thickness: int) -> AngleReport:
     rows, clipped into [0, 1]. mean_cosine is their average, a scalar
     summary of how much of the kernel lives near the boundary.
     """
-    from scipy.linalg import svdvals
-
     q_ker = kernel_basis_numeric(op)
     kdim = q_ker.shape[1]
     mask = boundary_mask(op.grid.shape, thickness).ravel()
-    cos = svdvals(q_ker[mask, :]) if mask.any() and kdim else np.zeros(0)
+    cos = np.linalg.svd(q_ker[mask, :], compute_uv=False) if mask.any() and kdim else np.zeros(0)
     cos = np.clip(cos, 0.0, 1.0)
     if cos.size < kdim:
         cos = np.concatenate([cos, np.zeros(kdim - cos.size)])

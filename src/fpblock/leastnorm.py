@@ -9,9 +9,10 @@ are stencil sums too, so a direct solve forms no CSR matrix. Small 1-D and
 2-D systems, such as the blocks of a decomposed plane, take their rows with
 the longer interior axis outermost, so that the band is two narrow sides
 wide; the lower diagonals are copied into a LAPACK band, factored by banded
-Cholesky (dpbtrf) and solved once (dpbtrs). They may come as a stack of
-same-shape members, whose products are made once per stack and each of which
-is factored on its own band, with the numbers of its own solve. Large and 3-D
+Cholesky (dpbtrf) and solved once (dpbtrs), the module's one use of
+scipy.linalg. They may come as a stack of same-shape members, whose products
+are made once per stack and each of which is factored on its own band, with
+the numbers of its own solve. Large and 3-D
 systems are attacked with preconditioned conjugate gradients, which read the
 DIA matrix as it is built.
 On a large 1-D or 2-D system, such as a whole 128^2 grid, the preconditioner
@@ -28,9 +29,10 @@ operator is the Gram matrix (A^T P)^T (A^T P), read from 3^d (d + 1) probes of
 A^T P without the 12 of its 85 diagonals in 2-D that never couple, and the
 coarser ones are probed products P^T M P. Each level is smoothed by a
 degree-2 Chebyshev polynomial in D^-1 M (Adams, Brezina, Hu and Tuminaro,
-2003). The cycle runs in float32 (Goddeke, Strzodka and Turek, 2007), in
-which a coarse 2-D level is built from the start; the fine level and 1-D
-levels are built in float64, then rounded. CG stays float64 and takes the
+2003), and the coarsest, of at most 300 rows, is inverted once by numpy.
+The cycle runs in float32 (Goddeke, Strzodka and Turek, 2007), in which a
+coarse 2-D level is built from the start; the fine level and 1-D levels are
+built in float64, then rounded. CG stays float64 and takes the
 flexible beta of Notay (SISC 22, 2000). A 3-D system is preconditioned by the
 diagonal of A A^T (Jacobi), which follows |f|^2 where advection outweighs
 diffusion; on the eight 16^3 blocks of a sampled 32^3 Rossler grid a V-cycle
@@ -86,9 +88,10 @@ _STACK_ROWS = 8192
 # iterations on the 128^2 ring, and 126 and 211 on 256^2, where blocks of 3
 # took 43 and 54.
 _AGGREGATE = 3
-# The coarsest level is factored dense once it has at most this many rows. A
-# triangular solve of 300 rows takes about 60 us, less than the numpy calls of
-# one more level; of 600 rows, about 290 us.
+# The coarsest level is inverted dense once it has at most this many rows. On
+# a 2-vCPU Xeon, a product with the inverse of 300 rows takes about 11 us,
+# less than the numpy calls of one more level, and forming it 7 ms; of 600
+# rows, about 100 us and 30 ms.
 _COARSEST_ROWS = 300
 # lambda, the bound on the spectral radius of D^-1 M that the prolongator's
 # omega = 4 / (3 lambda) and the smoother's interval rest on, is this multiple
@@ -571,8 +574,11 @@ def _vcycle(mat, dinv: np.ndarray, op: InteriorOperator):
     T - W (M T) (about a quarter of the bytes of its M), and restricts by its
     CSR view, the same numbers. It holds no T: _symmetric finds the unknowns
     of T's empty columns from the zero rows of the coarse candidates,
-    lvl.dropped. Levels are built until at most _COARSEST_ROWS rows remain,
-    which are factored by dense Cholesky.
+    lvl.dropped. Levels are built until at most _COARSEST_ROWS rows remain;
+    numpy's Cholesky factor checks that they are positive definite, and the
+    cycle applies their float64 inverse, formed once, as one product. scipy's
+    cho_solve would load scipy.linalg, about 9 MB of a 128^2 solve's peak
+    memory, for this alone.
     The cycle runs the degree-2 Chebyshev sweep of _CHEBYSHEV on
     [lambda / 30, lambda] before and after the coarse correction and
     restricts by P^T, so B is symmetric, and positive definite while the true
@@ -582,13 +588,12 @@ def _vcycle(mat, dinv: np.ndarray, op: InteriorOperator):
     at 64^2, 128^2, 256^2 and 512^2; degree 3 took 26 at 128^2, for two more
     products per level, and was no faster. A coarse 2-D level is built in
     float32, the first straight from _gram's sums. The fine level and 1-D
-    levels are built in float64 and rounded after the coarsest factor: built
+    levels are built in float64 and rounded after the coarsest inverse: built
     in float32, the 2001-cell line's coarsest Cholesky failed. The float32
     cycle takes 1.4 ms at 128^2, against 2.4 in float64, with the same CG
     iterations.
     """
     from scipy import sparse
-    from scipy.linalg import cho_factor, cho_solve
 
     levels = []
     radius = 2
@@ -620,7 +625,10 @@ def _vcycle(mat, dinv: np.ndarray, op: InteriorOperator):
             if not np.all(diag > 0.0):
                 raise np.linalg.LinAlgError("non-positive diagonal entry")
             dinv = 1.0 / diag
-        factor = cho_factor(mat.toarray().astype(np.float64, copy=False), overwrite_a=True)
+        coarsest = mat.toarray().astype(np.float64, copy=False)
+        # only the check that the level is positive definite; the cycle
+        # applies the inverse
+        np.linalg.cholesky(coarsest)
     except np.linalg.LinAlgError as exc:
         raise RankDeficiencyError(
             f"level {len(levels)} ({mat.shape[0]} rows) of the multigrid "
@@ -629,16 +637,16 @@ def _vcycle(mat, dinv: np.ndarray, op: InteriorOperator):
         ) from exc
     for lvl in levels:
         lvl.round()
-    return functools.partial(_cycle, levels, functools.partial(cho_solve, factor))
+    return functools.partial(_cycle, levels, np.linalg.inv(coarsest))
 
 
-def _cycle(levels: list[_Level], coarsest, r: np.ndarray) -> np.ndarray:
-    """z = B r by one V-cycle from the finest of levels down to the coarsest
-    solve, in the levels' float32, with the coarsest solve's float64 answer
-    rounded back. r is divided by max|r| before _single rounds it, and z is
-    multiplied back in float64, so B is as free of r's scale as CG is: on the
-    64^2 ring, a reference scaled by 1e-30 or 1e-36 would otherwise underflow
-    in float32 and read r.z < 0."""
+def _cycle(levels: list[_Level], inverse: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """z = B r by one V-cycle in the levels' float32, from the finest of
+    levels down to the coarsest, which is solved by one product with the
+    float64 inverse and rounded back. r is divided by max|r| before
+    _single rounds it, and z is multiplied back in float64, so B is as free of
+    r's scale as CG is: on the 64^2 ring, a reference scaled by 1e-30 or
+    1e-36 would otherwise underflow in float32 and read r.z < 0."""
     scale = float(np.max(np.abs(r))) or 1.0
     b = _single(r / scale)
     down = []
@@ -646,7 +654,7 @@ def _cycle(levels: list[_Level], coarsest, r: np.ndarray) -> np.ndarray:
         x = lvl.smooth(b)
         down.append((b, x))
         b = lvl.restrict(b - lvl.mat @ x)
-    x = coarsest(b).astype(b.dtype, copy=False)
+    x = (inverse @ b).astype(b.dtype, copy=False)
     for lvl, (b, fine) in zip(reversed(levels), reversed(down)):
         fine += lvl.prolong(x)
         x = lvl.smooth(b, fine)
@@ -673,9 +681,12 @@ def _cg(
     and a preconditioned residual with r.z <= 0 raises too: the V-cycle's
     Chebyshev smoother rests on an estimated spectral radius, which it may
     exceed by no more than a thirtieth, so its positivity is checked where it
-    is used. The float32 V-cycle is symmetric only to about 1e-8, so its beta
-    is Notay's flexible z_k+1.(r_k+1 - r_k) / z_k.r_k; Jacobi keeps the
-    classical one, whose saved dot product is 4 % of a 16^3 step.
+    is used. A residual norm that is not finite raises NonConvergenceError
+    with the history at once, not after max_iters: the coarsest level's
+    inverse passes a non-finite vector on. The float32 V-cycle is symmetric
+    only to about 1e-8, so its beta is Notay's flexible
+    z_k+1.(r_k+1 - r_k) / z_k.r_k; Jacobi keeps the classical one, whose saved
+    dot product is 4 % of a 16^3 step.
     """
     norm_tol, inf_tol = _tolerances(b, rel_tol)
     diag = mat.diagonal()
@@ -729,6 +740,12 @@ def _cg(
         x += np.multiply(p, alpha, out=step)
         r -= np.multiply(q, alpha, out=step)
         history.append(float(np.sqrt(r @ r)))
+        if not math.isfinite(history[-1]):
+            raise NonConvergenceError(
+                f"conjugate gradients broke down at iteration {iters + 1}: the "
+                f"residual norm is {history[-1]}, not finite",
+                residual_history=history,
+            )
         z, rz_new = precondition(r)
         # the flexible beta, with r_k+1 - r_k = -alpha q, alpha = rz / curv
         p *= rz_new / rz if vcycle is None else -float(z @ q) / curv
